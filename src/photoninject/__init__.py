@@ -6,7 +6,6 @@ optics, microphone transduction — plus PIN brute-force policy analysis
 and a multi-microphone injection detector.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .authsim import BruteForceResult, ExpectedTime, LockPolicy, enumerate_pins, expected_time
 from .defense import ChannelSet, Verdict, channel_similarity, detect_injection
 from .devices import DeviceProfile, load_devices, lookup_device
@@ -25,3 +24,6 @@ from .signals import (AudioSignal, Spectrogram, generate_chirp, generate_tone,
 from .wavio import load_wav, load_wav_channels, save_wav, save_wav_channels
 
 __version__ = "0.1.0"
+
+# Kept for callers that report the NCC kernel in use; there is only one.
+KERNEL_BACKEND = "numpy"

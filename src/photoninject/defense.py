@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mic
-from ._kernels import pairwise_max_ncc
 from .signals import AudioSignal
 from .wavio import load_wav_channels
 
@@ -56,6 +55,8 @@ class ChannelSet:
             raise ValueError("need at least 2 channels")
         if arr.shape[1] < 1:
             raise ValueError("channels are empty")
+        if not np.isfinite(arr).all():
+            raise ValueError("channels contain non-finite samples")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "channels", arr)
@@ -99,6 +100,53 @@ class Verdict:
                 for ch in range(self.energies.size)]
 
 
+def _smooth_fft_len(n: int) -> int:
+    """Smallest 2*3*5-smooth length >= n (at least 1): a fast FFT size."""
+    n = max(n, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Per-frame maximum normalized cross-correlation of every channel pair.
+
+    frames: zero-mean (n_ch, n_frames, frame_len) float64. Entry (i, j, f)
+    is the maximum over lags in [-max_lag, max_lag] of the zero-padded
+    cross-correlation of frame f of channels i and j, divided by the product
+    of the two full-frame norms. Returns (n_ch, n_ch, n_frames): symmetric,
+    in [-1, 1], 0 where either frame has zero norm, diagonal exactly 1.
+    """
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    n_ch, n_frames, frame_len = frames.shape
+    # nfft >= frame_len + max_lag keeps every lag in the window free of
+    # circular wrap-around
+    nfft = _smooth_fft_len(frame_len + max_lag)
+    spectra = np.fft.rfft(frames, nfft, axis=-1)
+    norms = np.linalg.norm(frames, axis=-1)
+
+    # only the i < j pairs; cc[p, f, l] = sum_t frames[i, f, t] * frames[j, f, t + l]
+    i, j = np.triu_indices(n_ch, k=1)
+    cc = np.fft.irfft(np.conj(spectra[i]) * spectra[j], nfft, axis=-1)
+    best = cc[..., :max_lag + 1].max(axis=-1)
+    if max_lag > 0:
+        best = np.maximum(best, cc[..., nfft - max_lag:].max(axis=-1))
+
+    denom = norms[i] * norms[j]
+    pair = np.divide(best, denom, out=np.zeros_like(best), where=denom > 0)
+    out = np.ones((n_ch, n_ch, n_frames))
+    out[i, j] = pair
+    out[j, i] = pair
+    return out
+
+
 def channel_similarity(channel_set: ChannelSet,
                        frame: int = DEFAULT_FRAME) -> np.ndarray:
     """Pairwise similarity matrix, entries in [-1, 1], diagonal 1.
@@ -118,11 +166,8 @@ def channel_similarity(channel_set: ChannelSet,
         channel_set.n_channels, n_frames, frame)
     framed = framed - framed.mean(axis=2, keepdims=True)
     max_lag = min(round(channel_set.sample_rate * LAG_WINDOW_S), frame - 1)
-    per_frame = pairwise_max_ncc(np.ascontiguousarray(framed), max_lag)
-    matrix = np.median(per_frame, axis=2)
-    idx = np.arange(channel_set.n_channels)
-    matrix[idx, idx] = 1.0
-    return matrix
+    per_frame = pairwise_max_ncc(framed, max_lag)
+    return np.median(per_frame, axis=2)
 
 
 def detect_injection(channel_set: ChannelSet, threshold: float = DEFAULT_THRESHOLD,

@@ -20,6 +20,14 @@ class TestChannelSet:
         with pytest.raises(ValueError, match="2 channels"):
             ChannelSet(np.zeros((1, 1000)) + 0.1, SR)
 
+    def test_non_finite_samples_rejected(self):
+        # a NaN would otherwise read as an energy-less channel
+        for bad in (np.nan, np.inf, -np.inf):
+            chans = np.random.default_rng(0).normal(0, 0.1, (3, 4096))
+            chans[1, 5] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                ChannelSet(chans, SR)
+
     def test_from_signals_checks_rate_and_length(self):
         a = generate_tone(1000, 0.1, 48000)
         b = generate_tone(1000, 0.1, 44100)
