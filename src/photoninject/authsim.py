@@ -82,11 +82,17 @@ def _check_digits(policy: LockPolicy, digits: int) -> None:
 
 def candidate_order(digits: int, order: str = "ascending",
                     seed: int | None = None) -> np.ndarray:
-    """Candidate PINs as integers, in the enumeration order."""
+    """Candidate PINs as integers, in the enumeration order.
+
+    `seeded_shuffle` needs an explicit seed, so that the order is
+    reproducible.
+    """
     n = 10 ** digits
     if order == "ascending":
         return np.arange(n)
     if order == "seeded_shuffle":
+        if seed is None:
+            raise ValueError("order 'seeded_shuffle' needs a seed")
         return np.random.default_rng(seed).permutation(n)
     raise ValueError(f"unknown order {order!r}")
 

@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret")
     p.add_argument("--order", choices=["ascending", "seeded_shuffle"],
                    default="ascending")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_bruteforce)
 

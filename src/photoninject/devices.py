@@ -6,6 +6,7 @@ import difflib
 from dataclasses import dataclass
 
 from . import profiles
+from .profiles import _field
 from .errors import DeviceNotFoundError, FormatError
 
 
@@ -47,14 +48,14 @@ def load_devices() -> list[DeviceProfile]:
     out = []
     for row in profiles.device_rows():
         out.append(DeviceProfile(
-            name=row["name"].strip(),
-            backend=row["backend"].strip(),
-            category=row["category"].strip(),
-            requires_auth=_parse_bool(row["requires_auth"], fn),
-            min_power_mw=float(row["min_power_mw"]),
-            port_diameter_m=float(row["port_diameter_m"]),
-            port_count=int(row["port_count"]),
-            wake_word=row["wake_word"].strip(),
+            name=_field(row, "name", fn),
+            backend=_field(row, "backend", fn),
+            category=_field(row, "category", fn),
+            requires_auth=_parse_bool(_field(row, "requires_auth", fn), fn),
+            min_power_mw=float(_field(row, "min_power_mw", fn)),
+            port_diameter_m=float(_field(row, "port_diameter_m", fn)),
+            port_count=int(_field(row, "port_count", fn)),
+            wake_word=_field(row, "wake_word", fn),
             note=(row.get("note") or "").strip(),
         ))
     return out

@@ -8,7 +8,6 @@ produce bit-identical sample arrays.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +109,8 @@ class Spectrogram:
         mags = np.asarray(self.magnitudes, dtype=np.float64)
         if mags.ndim != 2 or mags.shape[1] != self.frame_length // 2 + 1:
             raise ValueError("magnitudes must be (time bins, frame_length/2 + 1)")
+        if not np.all(np.isfinite(mags)):
+            raise ValueError("magnitudes must all be finite")
         if np.any(mags < 0):
             raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "magnitudes", mags)
@@ -125,13 +126,18 @@ class Spectrogram:
         return self.freqs_hz[np.argmax(self.magnitudes, axis=1)]
 
     def to_csv(self, path) -> None:
+        """Write `time_s,freq_hz,magnitude` rows with CRLF line ends.
+
+        Time and frequency labels are formatted once each; every time bin
+        is then written as one batch of lines, so memory stays at one row.
+        """
+        times = [f"{t:.9f}," for t in self.times_s]
+        freqs = [f"{f:.3f}," for f in self.freqs_hz]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "freq_hz", "magnitude"])
-            for i, t in enumerate(self.times_s):
-                for j, f in enumerate(self.freqs_hz):
-                    writer.writerow([f"{t:.9f}", f"{f:.3f}",
-                                     f"{self.magnitudes[i, j]:.9g}"])
+            fh.write("time_s,freq_hz,magnitude\r\n")
+            for t, row in zip(times, self.magnitudes):
+                fh.writelines([f"{t}{f}{m:.9g}\r\n"
+                               for f, m in zip(freqs, row.tolist())])
 
 
 def spectrogram(signal: AudioSignal, frame_length: int = 1024,

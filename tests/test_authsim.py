@@ -97,6 +97,13 @@ class TestCandidateOrder:
         with pytest.raises(ValueError, match="order"):
             candidate_order(2, "random")
 
+    def test_shuffle_without_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            candidate_order(3, "seeded_shuffle")
+        with pytest.raises(ValueError, match="seed"):
+            enumerate_pins(LockPolicy.unlimited(), 3, 1.0, "123",
+                           "seeded_shuffle")
+
 
 class TestExpectedTime:
     def test_four_digit_unlimited(self):

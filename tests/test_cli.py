@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_command
-from photoninject import cli, wavio
+from photoninject import authsim, cli, profiles, wavio
 from photoninject.signals import generate_tone
 
 SR = 48000
@@ -103,6 +103,20 @@ class TestSimulate:
         assert "unknown key" in err
 
 
+class TestProfileColumns:
+    def test_missing_device_column_exits_3(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "devices.csv").write_text(
+            "name,backend,category,requires_auth,min_power_mw,"
+            "port_diameter_m,wake_word\n"
+            "Lab Speaker,Alexa,speaker,no,0.5,0.001,alexa\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        for argv in (["profiles"], ["range", "--device", "Lab Speaker",
+                                    "--budget-mw", "5"]):
+            code, _, err = run(argv, capsys)
+            assert code == 3
+            assert "devices.csv: missing column 'port_count'" in err
+
+
 class TestRange:
     def test_corridor_scale(self, capsys):
         code, out, _ = run(["range", "--device", "Google Home",
@@ -147,6 +161,17 @@ class TestBruteforce:
                             "--per-attempt-s", "13", "--secret", "0042"], capsys)
         assert code == 1
         assert "locked_out" in out
+
+    def test_seeded_shuffle_defaults_to_seed_0(self, capsys):
+        argv = ["bruteforce", "--digits", "4", "--policy", "unlimited",
+                "--secret", "1234", "--order", "seeded_shuffle"]
+        code, first, _ = run(argv, capsys)
+        assert code == 0
+        assert run(argv, capsys)[1] == first
+        assert run(argv + ["--seed", "0"], capsys)[1] == first
+        position = int(np.flatnonzero(
+            authsim.candidate_order(4, "seeded_shuffle", 0) == 1234)[0]) + 1
+        assert f"unlocked after {position} attempts" in first
 
     def test_bad_policy_exits_2(self, capsys):
         code, _, err = run(["bruteforce", "--digits", "4",

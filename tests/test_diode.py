@@ -2,13 +2,41 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoninject import diode, wavio
-from photoninject.diode import (DiodeProfile, DriveWaveform, OperatingPoint,
-                                average_power, emitted_light, modulate,
-                                optical_power, optimize_operating_point)
+from photoninject.diode import (DiodeProfile, DriveWaveform, LightWaveform,
+                                OperatingPoint, average_power, emitted_light,
+                                modulate, optical_power,
+                                optimize_operating_point)
 from photoninject.errors import BudgetError
 from photoninject.signals import AudioSignal, generate_tone
+
+
+def reference_drive_csv(drive, path):
+    """The csv.writer form of save_drive_csv, kept as the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "current_ma"])
+        for i, c in enumerate(drive.currents_ma):
+            writer.writerow([f"{i / drive.sample_rate:.9f}", f"{c:.6f}"])
+
+
+def reference_drive_wav(drive, op, path, sidecar_path):
+    """The csv.writer form of save_drive_wav, kept as the byte oracle."""
+    half = op.peak_to_peak_ma / 2
+    if half > 0:
+        normalized = (drive.currents_ma - op.bias_ma) / half
+    else:
+        normalized = np.zeros_like(drive.currents_ma)
+    wavio.save_wav(AudioSignal(normalized, drive.sample_rate), path)
+    with open(sidecar_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["param", "value"])
+        writer.writerow(["i_dc_ma", f"{op.bias_ma:.6f}"])
+        writer.writerow(["i_pp_ma", f"{op.peak_to_peak_ma:.6f}"])
+        writer.writerow(["sample_rate_hz", str(drive.sample_rate)])
 
 
 def simple(i_th=100.0, slope=1.0, i_max=400.0):
@@ -224,11 +252,59 @@ class TestWaveformValidation:
         with pytest.raises(ValueError, match=">= 0"):
             DriveWaveform(np.array([-1.0]), 48000)
 
+    def test_drive_rate_must_be_a_positive_integer(self):
+        for rate in (0, -48000, 2.5):
+            with pytest.raises(ValueError, match="sample_rate"):
+                DriveWaveform(np.ones(3), rate)
+
     def test_negative_power_rejected(self):
-        from photoninject.diode import LightWaveform
         with pytest.raises(ValueError, match=">= 0"):
             LightWaveform(np.array([-0.1]), 48000)
+
+    def test_non_finite_power_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            LightWaveform(np.array([1.0, np.nan, np.inf]), 48000)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LightWaveform(np.array([0.5, bad]), 48000)
 
     def test_operating_point_negative_swing(self):
         with pytest.raises(ValueError, match="peak_to_peak"):
             OperatingPoint(100.0, -1.0)
+
+
+# .6f rounds half-way cases and prints every digit of huge currents
+EDGE_CURRENTS = [0.0, 5e-324, 4.9999995e-7, 5e-7, 5.0000005e-7, 0.1, 26.2,
+                 123456.0000005, 1e15, 1e300, 1.7976931348623157e308]
+
+
+@settings(deadline=None)
+@given(currents=st.lists(st.one_of(st.sampled_from(EDGE_CURRENTS),
+                                   st.floats(0.0, 1e6, allow_nan=False,
+                                             allow_infinity=False)),
+                         max_size=300),
+       sample_rate=st.sampled_from([1, 7, 8000, 44100, 48000]))
+def test_drive_csv_bytes_match_csv_writer(tmp_path_factory, currents,
+                                          sample_rate):
+    drive = DriveWaveform(np.array(currents, dtype=np.float64), sample_rate)
+    out = tmp_path_factory.mktemp("drive")
+    diode.save_drive_csv(drive, out / "new.csv")
+    reference_drive_csv(drive, out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(deadline=None)
+@given(bias=st.floats(0.0, 1e4), swing=st.floats(0.0, 1e4),
+       n=st.integers(0, 50),
+       sample_rate=st.sampled_from([1, 7, 8000, 44100, 48000]))
+def test_drive_wav_sidecar_bytes_match_csv_writer(tmp_path_factory, bias,
+                                                  swing, n, sample_rate):
+    op = OperatingPoint(bias, swing)
+    phase = np.linspace(-1.0, 1.0, n)
+    drive = DriveWaveform(np.maximum(bias + swing / 2 * phase, 0.0),
+                          sample_rate)
+    out = tmp_path_factory.mktemp("sidecar")
+    diode.save_drive_wav(drive, op, out / "new.wav", out / "new.csv")
+    reference_drive_wav(drive, op, out / "ref.wav", out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    assert (out / "new.wav").read_bytes() == (out / "ref.wav").read_bytes()

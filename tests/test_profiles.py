@@ -1,6 +1,6 @@
 import pytest
 
-from photoninject import profiles
+from photoninject import devices, profiles
 from photoninject.errors import FormatError
 
 
@@ -56,3 +56,13 @@ class TestProfileDirOverride:
             "lab,1.0,10.0,22000.0,1.0,0.0\n")
         monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
         assert profiles.get_mic("lab").band_high_hz == 22000.0
+
+    def test_missing_device_column_is_a_format_error(self, tmp_path, monkeypatch):
+        (tmp_path / "devices.csv").write_text(
+            "name,backend,category,requires_auth,min_power_mw,"
+            "port_diameter_m,wake_word\n"
+            "Lab Speaker,Alexa,speaker,no,0.5,0.001,alexa\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        with pytest.raises(FormatError,
+                           match="devices.csv: missing column 'port_count'"):
+            devices.load_devices()

@@ -2,10 +2,23 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoninject import signals
-from photoninject.signals import (AudioSignal, generate_chirp, generate_tone,
-                                  ridge_line_fit, spectrogram)
+from photoninject.signals import (AudioSignal, Spectrogram, generate_chirp,
+                                  generate_tone, ridge_line_fit, spectrogram)
+
+
+def reference_spectrogram_csv(spec, path):
+    """The csv.writer form of Spectrogram.to_csv, kept as the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "freq_hz", "magnitude"])
+        for i, t in enumerate(spec.times_s):
+            for j, f in enumerate(spec.freqs_hz):
+                writer.writerow([f"{t:.9f}", f"{f:.3f}",
+                                 f"{spec.magnitudes[i, j]:.9g}"])
 
 
 class TestAudioSignal:
@@ -132,6 +145,15 @@ class TestSpectrogram:
         with pytest.raises(ValueError, match="hop"):
             spectrogram(sig, 1024, 2048)
 
+    def test_non_finite_magnitudes_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrogram(np.full((2, 513), np.nan), 1024, 512, 48000)
+        for bad in (np.nan, np.inf, -np.inf):
+            mags = np.ones((3, 9))
+            mags[1, 4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Spectrogram(mags, 16, 8, 48000)
+
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="shorter than one"):
             spectrogram(AudioSignal(np.zeros(100), 48000), 1024, 512)
@@ -145,3 +167,43 @@ class TestSpectrogram:
         assert rows[0] == ["time_s", "freq_hz", "magnitude"]
         assert len(rows) == 1 + spec.magnitudes.size
         assert float(rows[1][2]) == pytest.approx(spec.magnitudes[0, 0], rel=1e-6)
+
+
+# .9g switches to exponent form below 1e-4 and from 1e9 (after rounding)
+EDGE_MAGNITUDES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                   1e300, 1.7976931348623157e308, 1e-4, 9.99999999e-5,
+                   9.999999995e-5, 0.0001000000005, 999999999.0,
+                   999999999.4, 999999999.5, 1e9, 123456789.5, 0.5, 1.0]
+
+
+@st.composite
+def spectrograms(draw):
+    frame_length = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    hop = draw(st.integers(1, frame_length))
+    sample_rate = draw(st.one_of(st.sampled_from([7, 44100, 48000]),
+                                 st.integers(1, 192000)))
+    n_time = draw(st.integers(0, 5))
+    n_freq = frame_length // 2 + 1
+    value = st.one_of(st.sampled_from(EDGE_MAGNITUDES),
+                      st.floats(0.0, 1e12, allow_nan=False,
+                                allow_infinity=False))
+    values = draw(st.lists(value, min_size=n_time * n_freq,
+                           max_size=n_time * n_freq))
+    mags = np.array(values, dtype=np.float64).reshape(n_time, n_freq)
+    return Spectrogram(mags, frame_length, hop, sample_rate)
+
+
+@settings(deadline=None)
+@given(spectrograms())
+def test_to_csv_bytes_match_csv_writer(tmp_path_factory, spec):
+    out = tmp_path_factory.mktemp("spec")
+    spec.to_csv(out / "new.csv")
+    reference_spectrogram_csv(spec, out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_to_csv_bytes_match_csv_writer_on_a_chirp(tmp_path):
+    spec = spectrogram(generate_chirp(0, 10000, 0.5, 48000), 1024, 512)
+    spec.to_csv(tmp_path / "new.csv")
+    reference_spectrogram_csv(spec, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
