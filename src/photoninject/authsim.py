@@ -3,7 +3,8 @@
 Policies: unlimited attempts, hard lockout after n wrong attempts, or a
 fixed delay inserted after every n wrong attempts. Enumeration walks the
 PIN space in ascending or seeded-shuffled order, charging a constant
-per-attempt duration plus any policy delays.
+per-attempt duration plus any policy delays; its outcome is computed from
+the secret's position in that order.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class LockPolicy:
 class BruteForceResult:
     attempts_made: int
     elapsed_s: float
-    outcome: str  # unlocked | locked_out | exhausted
+    outcome: str  # unlocked | locked_out
 
 
 @dataclass(frozen=True)
@@ -100,35 +101,33 @@ def candidate_order(digits: int, order: str = "ascending",
 def enumerate_pins(policy: LockPolicy, digits: int, per_attempt_s: float,
                    secret: str, order: str = "ascending",
                    seed: int | None = None) -> BruteForceResult:
-    """Walk the PIN space until the secret, a lockout, or exhaustion.
+    """Outcome of walking the PIN space until the secret or a lockout.
 
     Elapsed time is attempts * per_attempt_s plus, for delay_after
-    policies, the configured delay after every n-th wrong attempt.
+    policies, the configured delay after every n-th wrong attempt. The
+    walk is not stepped: everything follows from the secret's 0-based
+    position among the candidates.
     """
     _check_digits(policy, digits)
     if per_attempt_s <= 0:
         raise ValueError("per_attempt_s must be positive")
-    if len(secret) != digits or not secret.isdigit():
+    if len(secret) != digits or not (secret.isascii() and secret.isdigit()):
         raise ValueError(f"secret must be exactly {digits} digits, got {secret!r}")
     target = int(secret)
 
-    attempts = 0
-    wrong = 0
-    delays = 0
-    for candidate in candidate_order(digits, order, seed):
-        attempts += 1
-        if candidate == target:
-            return BruteForceResult(
-                attempts, attempts * per_attempt_s + delays * policy.delay_s,
-                "unlocked")
-        wrong += 1
-        if policy.kind == MAX_ATTEMPTS and wrong >= policy.attempt_limit:
-            return BruteForceResult(attempts, attempts * per_attempt_s,
-                                    "locked_out")
-        if policy.kind == DELAY_AFTER and wrong % policy.attempt_limit == 0:
-            delays += 1
+    if order == "ascending":
+        index = target
+    else:
+        candidates = candidate_order(digits, order, seed)
+        index = int(np.flatnonzero(candidates == target)[0])
+    attempts = index + 1
+    n = policy.attempt_limit
+    if policy.kind == MAX_ATTEMPTS and attempts > n:
+        return BruteForceResult(n, n * per_attempt_s, "locked_out")
+    # a delay follows every n-th of the `index` wrong attempts before it
+    delays = index // n if policy.kind == DELAY_AFTER else 0
     return BruteForceResult(
-        attempts, attempts * per_attempt_s + delays * policy.delay_s, "exhausted")
+        attempts, attempts * per_attempt_s + delays * policy.delay_s, "unlocked")
 
 
 def expected_time(policy: LockPolicy, digits: int,

@@ -6,7 +6,7 @@ import difflib
 from dataclasses import dataclass
 
 from . import profiles
-from .profiles import _field
+from .profiles import _build, _field, _number
 from .errors import DeviceNotFoundError, FormatError
 
 
@@ -33,32 +33,35 @@ class DeviceProfile:
             raise ValueError("port_count must be >= 1")
 
 
-def _parse_bool(text: str, filename: str) -> bool:
+def _parse_bool(text: str, where: str) -> bool:
     v = text.strip().lower()
     if v in ("yes", "true", "1"):
         return True
     if v in ("no", "false", "0"):
         return False
-    raise FormatError(f"{filename}: bad boolean {text!r}")
+    raise FormatError(f"{where}: bad boolean {text!r}")
+
+
+def _build_devices(rows) -> list[DeviceProfile]:
+    fn = "devices.csv"
+    return [_build(
+        DeviceProfile, fn, line,
+        name=_field(row, "name", fn),
+        backend=_field(row, "backend", fn),
+        category=_field(row, "category", fn),
+        requires_auth=_parse_bool(_field(row, "requires_auth", fn),
+                                  f"{fn}:{line}"),
+        min_power_mw=_number(row, "min_power_mw", fn, line),
+        port_diameter_m=_number(row, "port_diameter_m", fn, line),
+        port_count=_number(row, "port_count", fn, line, kind=int),
+        wake_word=_field(row, "wake_word", fn),
+        note=(row.get("note") or "").strip(),
+    ) for line, row in rows]
 
 
 def load_devices() -> list[DeviceProfile]:
     """The embedded dataset, in file order."""
-    fn = "devices.csv"
-    out = []
-    for row in profiles.device_rows():
-        out.append(DeviceProfile(
-            name=_field(row, "name", fn),
-            backend=_field(row, "backend", fn),
-            category=_field(row, "category", fn),
-            requires_auth=_parse_bool(_field(row, "requires_auth", fn), fn),
-            min_power_mw=float(_field(row, "min_power_mw", fn)),
-            port_diameter_m=float(_field(row, "port_diameter_m", fn)),
-            port_count=int(_field(row, "port_count", fn)),
-            wake_word=_field(row, "wake_word", fn),
-            note=(row.get("note") or "").strip(),
-        ))
-    return out
+    return list(profiles._table("devices.csv", _build_devices))
 
 
 def lookup_device(name: str) -> DeviceProfile:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .signals import AudioSignal
+from .signals import AudioSignal, _check_sample_rate
 
 # absorbs float dust when validating operating points against profiles (mA)
 CURRENT_ATOL_MA = 1e-9
@@ -87,9 +87,7 @@ class DriveWaveform:
     sample_rate: int
 
     def __post_init__(self):
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
-            raise ValueError(
-                f"sample_rate must be a positive integer, got {self.sample_rate}")
+        _check_sample_rate(self.sample_rate)
         arr = np.asarray(self.currents_ma, dtype=np.float64)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("drive currents must be finite and >= 0")
@@ -104,6 +102,7 @@ class LightWaveform:
     sample_rate: int
 
     def __post_init__(self):
+        _check_sample_rate(self.sample_rate)
         arr = np.asarray(self.powers_mw, dtype=np.float64)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("optical powers must be finite and >= 0")

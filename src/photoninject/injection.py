@@ -62,10 +62,12 @@ class AttackScenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.budget_mw <= 0:
-            raise ValueError("budget_mw must be positive")
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be positive")
+        if not math.isfinite(self.budget_mw) or self.budget_mw <= 0:
+            raise ValueError(
+                f"budget_mw must be positive and finite, got {self.budget_mw}")
+        if not math.isfinite(self.distance_m) or self.distance_m <= 0:
+            raise ValueError(
+                f"distance_m must be positive and finite, got {self.distance_m}")
 
 
 @dataclass(frozen=True)
@@ -276,9 +278,21 @@ def load_scenario(path) -> tuple[AttackScenario, int]:
         if key not in values:
             return default
         try:
-            return float(values[key])
+            value = float(values[key])
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise FormatError(f"{source}: bad number for {key}: "
+                              f"{values[key]!r}")
+        return value
+
+    def inum(key: str, default: int) -> int:
+        if key not in values:
+            return default
+        try:
+            return int(values[key])
+        except ValueError:
+            raise FormatError(f"{source}: bad integer for {key}: "
                               f"{values[key]!r}") from None
 
     device = lookup_device(values["device.name"])
@@ -309,9 +323,9 @@ def load_scenario(path) -> tuple[AttackScenario, int]:
         command_text=values.get("command_text", ""),
         wake_word_matched=_scenario_bool(values.get("wake_word_matched", "false"),
                                          source),
-        rng_seed=int(fnum("seed", 0)),
+        rng_seed=inum("seed", 0),
     )
-    trials = int(fnum("trials", 10))
+    trials = inum("trials", 10)
     if trials < 1:
         raise FormatError(f"{source}: trials must be >= 1")
     return scenario, trials

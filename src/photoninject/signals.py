@@ -24,6 +24,15 @@ def _as_readonly_f64(values) -> np.ndarray:
     return arr
 
 
+def _check_sample_rate(rate) -> None:
+    try:
+        ok = rate > 0 and int(rate) == rate
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"sample_rate must be a positive integer, got {rate}")
+
+
 @dataclass(frozen=True)
 class AudioSignal:
     """Uniformly sampled mono audio with a sample rate in Hz."""
@@ -32,8 +41,7 @@ class AudioSignal:
     sample_rate: int
 
     def __post_init__(self):
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate}")
+        _check_sample_rate(self.sample_rate)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         arr = _as_readonly_f64(self.samples)
         if arr.size and not np.all(np.isfinite(arr)):

@@ -1,9 +1,67 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photoninject.authsim import (BruteForceResult, LockPolicy,
-                                  candidate_order, enumerate_pins,
+from photoninject.authsim import (DELAY_AFTER, MAX_ATTEMPTS, BruteForceResult,
+                                  LockPolicy, candidate_order, enumerate_pins,
                                   expected_time, summary_row)
+
+
+def reference_enumerate_pins(policy, digits, per_attempt_s, secret,
+                             order="ascending", seed=None):
+    """The candidate-by-candidate walk that enumerate_pins replaces."""
+    target = int(secret)
+
+    attempts = 0
+    wrong = 0
+    delays = 0
+    for candidate in candidate_order(digits, order, seed):
+        attempts += 1
+        if candidate == target:
+            return BruteForceResult(
+                attempts, attempts * per_attempt_s + delays * policy.delay_s,
+                "unlocked")
+        wrong += 1
+        if policy.kind == MAX_ATTEMPTS and wrong >= policy.attempt_limit:
+            return BruteForceResult(attempts, attempts * per_attempt_s,
+                                    "locked_out")
+        if policy.kind == DELAY_AFTER and wrong % policy.attempt_limit == 0:
+            delays += 1
+    return BruteForceResult(
+        attempts, attempts * per_attempt_s + delays * policy.delay_s, "exhausted")
+
+
+@st.composite
+def walks(draw):
+    digits = draw(st.integers(1, 4))
+    space = 10 ** digits
+    limit = draw(st.integers(1, space + 5))
+    kind = draw(st.sampled_from(["unlimited", "max_attempts", "delay_after"]))
+    if kind == "unlimited":
+        policy = LockPolicy.unlimited()
+    elif kind == "max_attempts":
+        policy = LockPolicy.max_attempts(limit)
+    else:
+        delay = draw(st.one_of(st.sampled_from([0.0, 0.1, 60.0]),
+                               st.floats(0.0, 1e6)))
+        policy = LockPolicy.delay_after(limit, delay)
+    per_attempt = draw(st.one_of(st.sampled_from([13.0, 0.1, 1 / 3, 5e-324]),
+                                 st.floats(1e-6, 1e4)))
+    order = draw(st.sampled_from(["ascending", "seeded_shuffle"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    secret = str(draw(st.integers(0, space - 1))).zfill(digits)
+    return policy, digits, per_attempt, secret, order, seed
+
+
+@settings(deadline=None, max_examples=300)
+@given(walks())
+def test_matches_the_candidate_walk(walk):
+    expected = reference_enumerate_pins(*walk)
+    got = enumerate_pins(*walk)
+    assert got == expected
+    assert got.elapsed_s.hex() == expected.elapsed_s.hex()
+    assert type(got.attempts_made) is int
 
 
 class TestEnumerate:
@@ -41,6 +99,12 @@ class TestEnumerate:
             enumerate_pins(LockPolicy.unlimited(), 4, 13.0, "123")
         with pytest.raises(ValueError, match="digits"):
             enumerate_pins(LockPolicy.unlimited(), 4, 13.0, "12a4")
+
+    def test_non_ascii_digits_rejected(self):
+        for secret in ("\u0661\u0662\u0663\u0664", "12\u00b34", "\uff11234"):
+            assert secret.isdigit()
+            with pytest.raises(ValueError, match="digits"):
+                enumerate_pins(LockPolicy.unlimited(), 4, 13.0, secret)
 
     def test_digits_outside_policy_range(self):
         with pytest.raises(ValueError, match="range"):

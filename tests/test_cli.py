@@ -116,6 +116,18 @@ class TestProfileColumns:
             assert code == 3
             assert "devices.csv: missing column 'port_count'" in err
 
+    def test_bad_device_number_exits_3(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "devices.csv").write_text(
+            "# lab devices\n"
+            "name,backend,category,requires_auth,min_power_mw,"
+            "port_diameter_m,port_count,wake_word\n"
+            "Lab Speaker,Alexa,speaker,no,0.5,0.001,three,alexa\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        code, _, err = run(["profiles"], capsys)
+        assert code == 3
+        assert ("devices.csv:3: bad number for column 'port_count': 'three'"
+                in err)
+
 
 class TestRange:
     def test_corridor_scale(self, capsys):

@@ -257,6 +257,11 @@ class TestWaveformValidation:
             with pytest.raises(ValueError, match="sample_rate"):
                 DriveWaveform(np.ones(3), rate)
 
+    def test_light_rate_must_be_a_positive_integer(self):
+        for rate in (0, -3, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sample_rate"):
+                LightWaveform(np.ones(3), rate)
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             LightWaveform(np.array([-0.1]), 48000)

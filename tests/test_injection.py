@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -320,11 +322,37 @@ seed = 7
         with pytest.raises(FormatError, match="bad number"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("budget_mw = nan", "bad number for budget_mw: 'nan'"),
+        ("budget_mw = inf", "bad number for budget_mw: 'inf'"),
+        ("distance_m = inf", "bad number for distance_m: 'inf'"),
+        ("path.pointing_jitter_m = -inf", "bad number for path.pointing"),
+        ("trials = 2.7", "bad integer for trials: '2.7'"),
+        ("seed = 3.9", "bad integer for seed: '3.9'"),
+        ("seed = 1e3", "bad integer for seed: '1e3'"),
+    ])
+    def test_non_finite_and_fractional_values_rejected(self, tmp_path, line,
+                                                        message):
+        path = tmp_path / "s.txt"
+        path.write_text(self.GOOD + line + "\n")
+        with pytest.raises(FormatError, match=message):
+            load_scenario(path)
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("just some words\n")
         with pytest.raises(FormatError, match="key = value"):
             load_scenario(path)
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("field", ["budget_mw", "distance_m"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_rejected(self, field, bad):
+        good = scenario_for("Google Home", 5.0, 10.0)
+        with pytest.raises(ValueError, match=field):
+            replace(good, **{field: bad})
 
 
 class TestRecognitionEdge:

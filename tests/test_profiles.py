@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from photoninject import devices, profiles
@@ -66,3 +68,98 @@ class TestProfileDirOverride:
         with pytest.raises(FormatError,
                            match="devices.csv: missing column 'port_count'"):
             devices.load_devices()
+
+
+DEVICE_HEADER = ("name,backend,category,requires_auth,min_power_mw,"
+                 "port_diameter_m,port_count,wake_word\n")
+DIODE_HEADER = "name,i_th_ma,slope_mw_per_ma,i_max_ma,wavelength_nm\n"
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("row, message", [
+        ("Lab,Alexa,speaker,no,0.5,0.001,three,alexa",
+         "devices.csv:4: bad number for column 'port_count': 'three'"),
+        ("Lab,Alexa,speaker,no,0.5,0.001,2.5,alexa",
+         "devices.csv:4: bad number for column 'port_count': '2.5'"),
+        ("Lab,Alexa,speaker,no,nan,0.001,2,alexa",
+         "devices.csv:4: bad number for column 'min_power_mw': 'nan'"),
+        ("Lab,Alexa,speaker,no,0.5,inf,2,alexa",
+         "devices.csv:4: bad number for column 'port_diameter_m': 'inf'"),
+        ("Lab,Alexa,speaker,no,-1,0.001,2,alexa",
+         "devices.csv:4: min_power_mw must be positive"),
+        ("Lab,Alexa,speaker,maybe,0.5,0.001,2,alexa",
+         "devices.csv:4: bad boolean 'maybe'"),
+    ])
+    def test_device_row_errors_name_file_and_line(self, tmp_path, monkeypatch,
+                                                  row, message):
+        # line 4 of the file: the comment and blank line are still counted
+        (tmp_path / "devices.csv").write_text(
+            "# lab devices\n" + DEVICE_HEADER + "\n" + row + "\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        with pytest.raises(FormatError, match=re.escape(message)):
+            devices.load_devices()
+
+    @pytest.mark.parametrize("value", ["blue", "nan", "-inf", "1e999"])
+    def test_diode_number_errors(self, tmp_path, monkeypatch, value):
+        (tmp_path / "diodes.csv").write_text(
+            DIODE_HEADER + "ok,15.0,0.5,120.0,405.0\n"
+            f"bad,15.0,{value},120.0,405.0\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        with pytest.raises(FormatError, match=re.escape(
+                f"diodes.csv:3: bad number for column 'slope_mw_per_ma': "
+                f"{value!r}")):
+            profiles.get_diode("ok")
+
+    def test_mic_constructor_error_names_file_and_line(self, tmp_path,
+                                                       monkeypatch):
+        (tmp_path / "mics.csv").write_text(
+            "name,responsivity,band_low_hz,band_high_hz,saturation_mw,"
+            "noise_rms\n"
+            "# band upside down\n"
+            "lab,1.0,22000.0,10.0,1.0,0.0\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        with pytest.raises(FormatError,
+                           match=re.escape("mics.csv:3: need 0 < band_low_hz")):
+            profiles.load_mics()
+
+
+class TestParsedTableMemo:
+    def test_same_size_rewrite_is_picked_up(self, tmp_path, monkeypatch):
+        path = tmp_path / "diodes.csv"
+        path.write_text(DIODE_HEADER + "lab,15.0,0.5,120.0,405.0\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        assert profiles.get_diode("lab").wavelength_nm == 405.0
+        size = path.stat().st_size
+        path.write_text(DIODE_HEADER + "lab,15.0,0.5,120.0,505.0\n")
+        assert path.stat().st_size == size
+        assert profiles.get_diode("lab").wavelength_nm == 505.0
+
+    def test_mutating_a_result_does_not_leak(self):
+        diodes = profiles.load_diodes()
+        diodes.clear()
+        found = devices.load_devices()
+        found.pop()
+        assert "blue-450" in profiles.load_diodes()
+        assert len(devices.load_devices()) == 18
+
+    def test_failed_parse_is_not_remembered(self, tmp_path, monkeypatch):
+        bad, good = tmp_path / "bad", tmp_path / "good"
+        bad.mkdir()
+        good.mkdir()
+        (bad / "diodes.csv").write_text(DIODE_HEADER + "x,1,nan,9,405\n")
+        (good / "diodes.csv").write_text(DIODE_HEADER + "x,1,0.5,9,405\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(bad))
+        for _ in range(2):
+            with pytest.raises(FormatError, match="bad number"):
+                profiles.load_diodes()
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(good))
+        assert profiles.get_diode("x").slope_mw_per_ma == 0.5
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(bad))
+        with pytest.raises(FormatError, match="bad number"):
+            profiles.load_diodes()
+
+    def test_device_rows_stay_raw(self):
+        rows = profiles.device_rows()
+        assert len(rows) == 18
+        assert rows[0]["name"] == "Google Home"
+        assert rows[0]["min_power_mw"] == "0.5"
