@@ -236,16 +236,13 @@ def cmd_chirp_test(args) -> int:
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="photoninject",
-        description="Laser audio injection planning, simulation and defense")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_profiles(sub) -> None:
     p = sub.add_parser("profiles", help="list the target device dataset")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_profiles)
 
+
+def _add_plan(sub) -> None:
     p = sub.add_parser("plan", help="operating point, link budget and "
                                     "success probability for one scenario")
     p.add_argument("--device")
@@ -259,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_plan)
 
+
+def _add_modulate(sub) -> None:
     p = sub.add_parser("modulate", help="turn a WAV command into a drive waveform")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget-mw", type=float, required=True)
@@ -267,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar", help="sidecar CSV path for .wav output")
     p.set_defaults(func=cmd_modulate)
 
+
+def _add_simulate(sub) -> None:
     p = sub.add_parser("simulate", help="run seeded attack trials from a scenario file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--trials", type=int)
@@ -274,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_simulate)
 
+
+def _add_range(sub) -> None:
     p = sub.add_parser("range", help="maximum feasible attack distance")
     p.add_argument("--device", required=True)
     p.add_argument("--budget-mw", type=float, required=True)
@@ -281,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_range)
 
+
+def _add_bruteforce(sub) -> None:
     p = sub.add_parser("bruteforce", help="PIN brute-force timing under a policy")
     p.add_argument("--digits", type=int, required=True)
     p.add_argument("--policy", required=True,
@@ -294,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_bruteforce)
 
+
+def _add_detect(sub) -> None:
     p = sub.add_parser("detect", help="multi-microphone injection detection")
     p.add_argument("--in", dest="infile", required=True,
                    help="multichannel 16-bit PCM WAV")
@@ -303,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_detect)
 
+
+def _add_chirp_test(sub) -> None:
     p = sub.add_parser("chirp-test", help="end-to-end chirp through the "
                                           "diode/optics/microphone chain")
     p.add_argument("--out", default="chirp_spectrogram.csv")
@@ -317,11 +326,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chirp_test)
 
+
+# subcommand name -> function adding its parser, in help-listing order
+SUBCOMMANDS = {
+    "profiles": _add_profiles,
+    "plan": _add_plan,
+    "modulate": _add_modulate,
+    "simulate": _add_simulate,
+    "range": _add_range,
+    "bruteforce": _add_bruteforce,
+    "detect": _add_detect,
+    "chirp-test": _add_chirp_test,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with `command`'s alone.
+
+    A one-subcommand parser shows the full choice list in its usage line,
+    so an unrecognized-argument error prints what the full parser prints.
+    """
+    parser = argparse.ArgumentParser(
+        prog="photoninject",
+        description="Laser audio injection planning, simulation and defense")
+    # pinned only for a one-subcommand parser: on the full parser it would
+    # also rename the "argument command" of an invalid-choice error
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # building only the named subcommand's parser saves most of the parse
+    # cost; anything else (help, no or unknown command) needs the full one
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

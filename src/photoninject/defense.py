@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mic
-from .signals import AudioSignal
+from .signals import AudioSignal, _check_sample_rate
 from .wavio import load_wav_channels
 
 DEFAULT_THRESHOLD = 0.5
@@ -57,8 +57,8 @@ class ChannelSet:
             raise ValueError("channels are empty")
         if not np.isfinite(arr).all():
             raise ValueError("channels contain non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _check_sample_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
         object.__setattr__(self, "channels", arr)
 
     @classmethod
@@ -132,18 +132,19 @@ def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     spectra = np.fft.rfft(frames, nfft, axis=-1)
     norms = np.linalg.norm(frames, axis=-1)
 
-    # only the i < j pairs; cc[p, f, l] = sum_t frames[i, f, t] * frames[j, f, t + l]
-    i, j = np.triu_indices(n_ch, k=1)
-    cc = np.fft.irfft(np.conj(spectra[i]) * spectra[j], nfft, axis=-1)
-    best = cc[..., :max_lag + 1].max(axis=-1)
-    if max_lag > 0:
-        best = np.maximum(best, cc[..., nfft - max_lag:].max(axis=-1))
-
-    denom = norms[i] * norms[j]
-    pair = np.divide(best, denom, out=np.zeros_like(best), where=denom > 0)
     out = np.ones((n_ch, n_ch, n_frames))
-    out[i, j] = pair
-    out[j, i] = pair
+    # one reference channel a at a time against every b > a, so at most
+    # n_ch - 1 pairs are in flight;
+    # cc[b - a - 1, f, l] = sum_t frames[a, f, t] * frames[b, f, t + l]
+    for a in range(n_ch - 1):
+        cc = np.fft.irfft(np.conj(spectra[a]) * spectra[a + 1:], nfft, axis=-1)
+        best = cc[..., :max_lag + 1].max(axis=-1)
+        if max_lag > 0:
+            best = np.maximum(best, cc[..., nfft - max_lag:].max(axis=-1))
+        denom = norms[a] * norms[a + 1:]
+        pair = np.divide(best, denom, out=np.zeros_like(best), where=denom > 0)
+        out[a, a + 1:] = pair
+        out[a + 1:, a] = pair
     return out
 
 

@@ -14,6 +14,7 @@ clipped drive would corrupt every fidelity metric downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,17 @@ class DiodeProfile:
     wavelength_nm: float
 
     def __post_init__(self):
-        if self.threshold_ma < 0:
-            raise ValueError(f"threshold_ma must be >= 0, got {self.threshold_ma}")
-        if self.slope_mw_per_ma <= 0:
-            raise ValueError(f"slope_mw_per_ma must be > 0, got {self.slope_mw_per_ma}")
-        if self.max_current_ma <= self.threshold_ma:
-            raise ValueError("max_current_ma must exceed threshold_ma")
-        if self.wavelength_nm <= 0:
-            raise ValueError("wavelength_nm must be positive")
+        # chained comparisons with inf: NaN fails every one of them
+        if not 0 <= self.threshold_ma < math.inf:
+            raise ValueError(
+                f"threshold_ma must be >= 0 and finite, got {self.threshold_ma}")
+        if not 0 < self.slope_mw_per_ma < math.inf:
+            raise ValueError(
+                f"slope_mw_per_ma must be > 0 and finite, got {self.slope_mw_per_ma}")
+        if not self.threshold_ma < self.max_current_ma < math.inf:
+            raise ValueError("max_current_ma must be finite and exceed threshold_ma")
+        if not 0 < self.wavelength_nm < math.inf:
+            raise ValueError("wavelength_nm must be positive and finite")
 
 
 @dataclass(frozen=True)

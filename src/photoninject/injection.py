@@ -298,34 +298,42 @@ def load_scenario(path) -> tuple[AttackScenario, int]:
     device = lookup_device(values["device.name"])
     diode = profile_store.get_diode(values.get("diode.name", "blue-450"))
     distance = fnum("distance_m")
-    path_obj = OpticalPath(
-        lens_diameter_m=fnum("path.lens_diameter_m",
-                             optics.DEFAULT_LENS_DIAMETER_M),
-        focus_distance_m=fnum("path.focus_distance_m", distance),
-        wavelength_nm=fnum("path.wavelength_nm", diode.wavelength_nm),
-        pointing_jitter_m=fnum("path.pointing_jitter_m", 0.0),
-        window_transmission=fnum("path.window_transmission", 1.0),
-        mesh_transmission=fnum("path.mesh_transmission",
-                               optics.DEFAULT_MESH_TRANSMISSION),
-        incidence_angle_deg=fnum("path.incidence_angle_deg", 0.0),
-    )
-    aperture = Aperture(
-        port_diameter_m=fnum("aperture.port_diameter_m", device.port_diameter_m),
-        offset_m=fnum("aperture.offset_m", 0.0),
-    )
-    scenario = AttackScenario(
-        device=device,
-        diode=diode,
-        path=path_obj,
-        aperture=aperture,
-        budget_mw=fnum("budget_mw"),
-        distance_m=distance,
-        command_text=values.get("command_text", ""),
-        wake_word_matched=_scenario_bool(values.get("wake_word_matched", "false"),
-                                         source),
-        rng_seed=inum("seed", 0),
-    )
+    seed = inum("seed", 0)
+    if seed < 0:
+        raise FormatError(f"{source}: seed must be >= 0, got {seed}")
     trials = inum("trials", 10)
     if trials < 1:
         raise FormatError(f"{source}: trials must be >= 1")
+    # a value the constructors reject is a fault in the file
+    try:
+        path_obj = OpticalPath(
+            lens_diameter_m=fnum("path.lens_diameter_m",
+                                 optics.DEFAULT_LENS_DIAMETER_M),
+            focus_distance_m=fnum("path.focus_distance_m", distance),
+            wavelength_nm=fnum("path.wavelength_nm", diode.wavelength_nm),
+            pointing_jitter_m=fnum("path.pointing_jitter_m", 0.0),
+            window_transmission=fnum("path.window_transmission", 1.0),
+            mesh_transmission=fnum("path.mesh_transmission",
+                                   optics.DEFAULT_MESH_TRANSMISSION),
+            incidence_angle_deg=fnum("path.incidence_angle_deg", 0.0),
+        )
+        aperture = Aperture(
+            port_diameter_m=fnum("aperture.port_diameter_m",
+                                 device.port_diameter_m),
+            offset_m=fnum("aperture.offset_m", 0.0),
+        )
+        scenario = AttackScenario(
+            device=device,
+            diode=diode,
+            path=path_obj,
+            aperture=aperture,
+            budget_mw=fnum("budget_mw"),
+            distance_m=distance,
+            command_text=values.get("command_text", ""),
+            wake_word_matched=_scenario_bool(
+                values.get("wake_word_matched", "false"), source),
+            rng_seed=seed,
+        )
+    except ValueError as exc:
+        raise FormatError(f"{source}: {exc}") from None
     return scenario, trials

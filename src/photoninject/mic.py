@@ -14,6 +14,7 @@ passband is ripple-free and rejection exceeds 40 dB where it matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,15 @@ class MicProfile:
     noise_rms: float             # ambient noise floor, normalized amplitude
 
     def __post_init__(self):
-        if self.responsivity_per_mw <= 0:
-            raise ValueError("responsivity_per_mw must be positive")
-        if not 0 < self.band_low_hz < self.band_high_hz:
-            raise ValueError("need 0 < band_low_hz < band_high_hz")
-        if self.saturation_mw <= 0:
-            raise ValueError("saturation_mw must be positive")
-        if self.noise_rms < 0:
-            raise ValueError("noise_rms must be >= 0")
+        # chained comparisons with inf: NaN fails every one of them
+        if not 0 < self.responsivity_per_mw < math.inf:
+            raise ValueError("responsivity_per_mw must be positive and finite")
+        if not 0 < self.band_low_hz < self.band_high_hz < math.inf:
+            raise ValueError("need 0 < band_low_hz < band_high_hz, both finite")
+        if not 0 < self.saturation_mw < math.inf:
+            raise ValueError("saturation_mw must be positive and finite")
+        if not 0 <= self.noise_rms < math.inf:
+            raise ValueError("noise_rms must be >= 0 and finite")
 
 
 MEMS_DEFAULT = MicProfile("mems-default", DEFAULT_RESPONSIVITY, 20.0, 20000.0,

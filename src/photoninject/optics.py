@@ -38,14 +38,15 @@ class OpticalPath:
     incidence_angle_deg: float = 0.0
 
     def __post_init__(self):
-        if self.lens_diameter_m <= 0:
-            raise ValueError("lens_diameter_m must be positive")
-        if self.focus_distance_m <= 0:
-            raise ValueError("focus_distance_m must be positive")
-        if self.wavelength_nm <= 0:
-            raise ValueError("wavelength_nm must be positive")
-        if self.pointing_jitter_m < 0:
-            raise ValueError("pointing_jitter_m must be >= 0")
+        # chained comparisons with inf: NaN fails every one of them
+        if not 0 < self.lens_diameter_m < math.inf:
+            raise ValueError("lens_diameter_m must be positive and finite")
+        if not 0 < self.focus_distance_m < math.inf:
+            raise ValueError("focus_distance_m must be positive and finite")
+        if not 0 < self.wavelength_nm < math.inf:
+            raise ValueError("wavelength_nm must be positive and finite")
+        if not 0 <= self.pointing_jitter_m < math.inf:
+            raise ValueError("pointing_jitter_m must be >= 0 and finite")
         for name in ("window_transmission", "mesh_transmission"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -83,10 +84,10 @@ class Aperture:
     offset_m: float = 0.0
 
     def __post_init__(self):
-        if self.port_diameter_m <= 0:
-            raise ValueError("port_diameter_m must be positive")
-        if self.offset_m < 0:
-            raise ValueError("offset_m must be >= 0")
+        if not 0 < self.port_diameter_m < math.inf:
+            raise ValueError("port_diameter_m must be positive and finite")
+        if not 0 <= self.offset_m < math.inf:
+            raise ValueError("offset_m must be >= 0 and finite")
 
 
 def spot_diameter(path: OpticalPath, distance_m: float) -> float:
@@ -104,7 +105,9 @@ def disk_overlap_area(r1: float, r2: float, center_distance: float) -> float:
     d = center_distance
     if d >= r1 + r2:
         return 0.0
-    if d <= abs(r1 - r2):
+    # one disk inside the other, or centres so close that the 2*d*r
+    # denominators below underflow to 0: the smaller disk's area
+    if d <= abs(r1 - r2) or d * min(r1, r2) == 0:
         r = min(r1, r2)
         return math.pi * r * r
     # clamp acos arguments against float dust at tangency
@@ -116,10 +119,17 @@ def disk_overlap_area(r1: float, r2: float, center_distance: float) -> float:
 
 def capture_fraction(spot_diameter_m: float, aperture: Aperture) -> float:
     """Fraction of a top-hat spot falling inside the port disk."""
+    if not 0 <= spot_diameter_m < math.inf:
+        raise ValueError(
+            f"spot diameter must be >= 0 and finite, got {spot_diameter_m}")
     r_spot = spot_diameter_m / 2
     r_port = aperture.port_diameter_m / 2
-    if r_spot <= 0:
-        return 1.0 if aperture.offset_m <= r_port else 0.0
+    # decided without dividing by the spot area, which underflows to 0 for
+    # a tiny spot
+    if aperture.offset_m <= r_port - r_spot:
+        return 1.0    # the spot lies wholly inside the port
+    if aperture.offset_m >= r_spot + r_port:
+        return 0.0    # the spot misses the port
     area = disk_overlap_area(r_spot, r_port, aperture.offset_m)
     return min(1.0, area / (math.pi * r_spot * r_spot))
 

@@ -83,15 +83,18 @@ def _parse(blob: bytes):
         raise FormatError("data chunk: size is not a whole number of frames")
 
     raw = np.frombuffer(data, dtype="<i2").reshape(-1, n_channels)
-    return raw.astype(np.float64) / PCM_FULL_SCALE, int(sample_rate)
+    # one copy, straight into C-contiguous (n_ch, n); scaling by the exact
+    # power of two 1/32768 equals dividing by 32768 bit for bit
+    channels = raw.T.astype(np.float64, order="C")
+    channels *= 1.0 / PCM_FULL_SCALE
+    return channels, int(sample_rate)
 
 
 def load_wav_channels(path) -> tuple[np.ndarray, int]:
     """Read any channel count; returns (channels[n_ch, n], sample_rate)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    frames, rate = _parse(blob)
-    return frames.T.copy(), rate
+    return _parse(blob)
 
 
 def load_wav(path) -> AudioSignal:

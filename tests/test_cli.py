@@ -102,6 +102,17 @@ class TestSimulate:
         assert code == 3
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("line", ["path.window_transmission = 2",
+                                      "budget_mw = -1", "seed = -1"])
+    def test_out_of_range_scenario_value_exits_3(self, scenario_file, line,
+                                                 capsys):
+        with open(scenario_file, "a") as fh:
+            fh.write(line + "\n")
+        code, out, err = run(["simulate", "--scenario", scenario_file], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {scenario_file}: ")
+
 
 class TestProfileColumns:
     def test_missing_device_column_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -279,3 +290,56 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert run([], capsys)[0] == 2
+
+
+def full_parser_output(argv, capsys):
+    """Exit code, stdout and stderr of the every-subcommand parser."""
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        code = None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserPerCommand:
+    ARGVS = ([[], ["--help"], ["bogus"], ["detect"],
+              ["detect", "--in", "x", "--bogus"]]
+             + [[name, "--help"] for name in cli.SUBCOMMANDS])
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_output_matches_full_parser(self, argv, capsys):
+        assert run(argv, capsys) == full_parser_output(argv, capsys)
+
+    def test_invalid_choice_names_the_command_argument(self, capsys):
+        # a metavar pinned on the full parser would rename the argument here
+        code, out, err = run(["bogus"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "photoninject: error: argument command: invalid choice: " \
+               "'bogus'" in err
+
+    @pytest.mark.parametrize("argv, built", [
+        (["profiles"], ["profiles"]),
+        (["detect", "--in", "/nonexistent.wav"], ["detect"]),
+        (["--help"], list(cli.SUBCOMMANDS)),
+        (["bogus"], list(cli.SUBCOMMANDS)),
+        ([], list(cli.SUBCOMMANDS)),
+    ])
+    def test_builds_only_the_named_subcommand(self, argv, built, monkeypatch,
+                                              capsys):
+        seen = []
+
+        def recording(name, add):
+            def wrapped(sub):
+                seen.append(name)
+                add(sub)
+            return wrapped
+
+        monkeypatch.setattr(cli, "SUBCOMMANDS", {
+            name: recording(name, add) for name, add in cli.SUBCOMMANDS.items()})
+        cli.main(argv)
+        capsys.readouterr()
+        assert seen == built

@@ -28,6 +28,12 @@ class TestChannelSet:
             with pytest.raises(ValueError, match="non-finite"):
                 ChannelSet(chans, SR)
 
+    def test_sample_rate_must_be_a_positive_integer(self):
+        chans = np.random.default_rng(0).normal(0, 0.1, (2, 4096))
+        for rate in (0, -SR, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sample_rate"):
+                ChannelSet(chans, rate)
+
     def test_from_signals_checks_rate_and_length(self):
         a = generate_tone(1000, 0.1, 48000)
         b = generate_tone(1000, 0.1, 44100)

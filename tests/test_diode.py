@@ -78,6 +78,14 @@ class TestOpticalPower:
         with pytest.raises(ValueError):
             DiodeProfile("x", 10, 1, 10, 450)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_profile_rejects_non_finite(self, bad):
+        for field in range(4):
+            values = [10.0, 1.0, 100.0, 450.0]
+            values[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                DiodeProfile("x", *values)
+
 
 class TestModulate:
     def test_zero_audio_gives_constant_bias(self, blue):

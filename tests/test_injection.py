@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,20 @@ seed = 7
         path = tmp_path / "s.txt"
         path.write_text(self.GOOD + line + "\n")
         with pytest.raises(FormatError, match=message):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("path.window_transmission = 2", "window_transmission must be in"),
+        ("path.lens_diameter_m = 0", "lens_diameter_m must be positive"),
+        ("aperture.offset_m = -1", "offset_m must be >= 0"),
+        ("budget_mw = -1", "budget_mw must be positive"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_values_name_the_file(self, tmp_path, line, message):
+        path = tmp_path / "s.txt"
+        path.write_text(self.GOOD + line + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
+                                              f".*{message}"):
             load_scenario(path)
 
     def test_bad_line(self, tmp_path):

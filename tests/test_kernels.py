@@ -1,11 +1,13 @@
 """The NCC kernel against a direct lag-loop oracle, and its semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoninject.defense import pairwise_max_ncc
+from photoninject.defense import _smooth_fft_len, pairwise_max_ncc
 
 
 def zero_mean_frames(rng, n_ch=4, n_frames=6, frame_len=512):
@@ -34,6 +36,32 @@ def oracle_max_ncc(frames, max_lag):
     return out
 
 
+def reference_pairwise_max_ncc(frames, max_lag):
+    """The all-pairs-at-once kernel: every i < j pair's spectra, products and
+    correlations gathered by fancy indexing. Kept as the equivalence and
+    memory reference for the one-reference-channel-at-a-time kernel."""
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    n_ch, n_frames, frame_len = frames.shape
+    nfft = _smooth_fft_len(frame_len + max_lag)
+    spectra = np.fft.rfft(frames, nfft, axis=-1)
+    norms = np.linalg.norm(frames, axis=-1)
+
+    i, j = np.triu_indices(n_ch, k=1)
+    cc = np.fft.irfft(np.conj(spectra[i]) * spectra[j], nfft, axis=-1)
+    best = cc[..., :max_lag + 1].max(axis=-1)
+    if max_lag > 0:
+        best = np.maximum(best, cc[..., nfft - max_lag:].max(axis=-1))
+
+    denom = norms[i] * norms[j]
+    pair = np.divide(best, denom, out=np.zeros_like(best), where=denom > 0)
+    out = np.ones((n_ch, n_ch, n_frames))
+    out[i, j] = pair
+    out[j, i] = pair
+    return out
+
+
 @pytest.mark.parametrize("max_lag", [0, 1, 48, 200, 511])
 def test_matches_oracle(max_lag):
     # 511 = frame_len - 1, the cap channel_similarity applies: the widest
@@ -55,8 +83,8 @@ def test_matches_oracle_with_silent_channel():
 
 
 @st.composite
-def kernel_inputs(draw):
-    n_ch = draw(st.integers(2, 5))
+def kernel_inputs(draw, max_channels=5):
+    n_ch = draw(st.integers(2, max_channels))
     n_frames = draw(st.integers(1, 3))
     frame_len = draw(st.one_of(st.integers(256, 600),
                                st.sampled_from([257, 263, 401, 509, 599])))
@@ -85,6 +113,32 @@ def test_kernel_properties(inputs):
     assert np.all(out[either] == 0.0)
     np.testing.assert_allclose(out, oracle_max_ncc(frames, max_lag),
                                rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(kernel_inputs(max_channels=8))
+def test_matches_all_pairs_reference(inputs):
+    frames, max_lag = inputs
+    np.testing.assert_allclose(pairwise_max_ncc(frames, max_lag),
+                               reference_pairwise_max_ncc(frames, max_lag),
+                               rtol=0, atol=1e-12)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_below_all_pairs_reference():
+    # detect's largest shape: 8 channels, 2 s at 48 kHz, +/-1 ms lag window
+    frames = zero_mean_frames(np.random.default_rng(9), n_ch=8, n_frames=93,
+                              frame_len=1024)
+    reference = traced_peak(reference_pairwise_max_ncc, frames, 48)
+    assert traced_peak(pairwise_max_ncc, frames, 48) <= 0.6 * reference
 
 
 class TestKernelSemantics:

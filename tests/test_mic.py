@@ -70,6 +70,16 @@ class TestTransduce:
         assert np.std(out.samples) == pytest.approx(0.01, rel=0.02)
 
 
+class TestProfileValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_fields_rejected(self, bad):
+        for field in range(5):
+            values = [4.0, 20.0, 20000.0, 0.1, 0.005]
+            values[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MicProfile("m", *values)
+
+
 class TestBandpass:
     def test_passband_is_flat(self):
         tone = generate_tone(1000, 0.5, 48000, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoninject import optics
 from photoninject.diode import LightWaveform
@@ -206,3 +208,73 @@ class TestHelpers:
             OpticalPath(0.086, 1.0, 450.0, incidence_angle_deg=90.0)
         with pytest.raises(ValueError):
             Aperture(0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_geometry_rejected(self, bad):
+        for field in range(4):
+            values = [0.086, 1.0, 450.0, 0.0]
+            values[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                OpticalPath(*values)
+        with pytest.raises(ValueError, match="finite"):
+            Aperture(bad)
+        with pytest.raises(ValueError, match="finite"):
+            Aperture(0.001, bad)
+
+
+# --- physics invariants over random links -----------------------------------
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+paths = st.builds(
+    OpticalPath,
+    lens_diameter_m=finite(1e-3, 0.3),
+    focus_distance_m=finite(1e-2, 1e4),
+    wavelength_nm=finite(200.0, 2000.0),
+    pointing_jitter_m=st.one_of(st.just(0.0), finite(0.0, 1e-2)),
+    window_transmission=finite(0.0, 1.0),
+    mesh_transmission=finite(0.0, 1.0),
+    incidence_angle_deg=finite(0.0, 89.9),
+)
+apertures = st.builds(
+    Aperture,
+    port_diameter_m=finite(1e-5, 1e-1),
+    offset_m=st.one_of(st.just(0.0), finite(0.0, 1e-1)),
+)
+distances = finite(1e-3, 1e4)
+powers = finite(0.0, 1e4)
+
+
+class TestInvariants:
+    @settings(deadline=None)
+    @given(paths, distances)
+    def test_spot_is_finite(self, path, distance):
+        assert spot_diameter(path, distance) > 0
+
+    @settings(deadline=None)
+    @given(finite(0.0, 10.0), apertures)
+    def test_capture_fraction_in_unit_interval(self, spot, aperture):
+        assert 0.0 <= capture_fraction(spot, aperture) <= 1.0
+
+    @pytest.mark.parametrize("spot", [-1e-3, float("nan"), float("inf")])
+    def test_capture_fraction_rejects_bad_spot(self, spot):
+        with pytest.raises(ValueError, match="spot diameter"):
+            capture_fraction(spot, Aperture(0.001))
+
+    @settings(deadline=None)
+    @given(paths, apertures, distances, powers)
+    def test_received_never_exceeds_emitted(self, path, aperture, distance,
+                                            emitted):
+        received = received_power(path, aperture, distance, emitted)
+        assert 0.0 <= received <= emitted
+
+    @settings(deadline=None)
+    @given(paths, apertures, finite(1e-6, 1e3), finite(1e-6, 1e3),
+           finite(1e-6, 1e2))
+    def test_range_non_decreasing_in_emitted_power(self, path, aperture, p1,
+                                                   p2, required):
+        low, high = sorted((p1, p2))
+        assert (max_range(path, aperture, low, required)
+                <= max_range(path, aperture, high, required))

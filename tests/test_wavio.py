@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoninject import wavio
 from photoninject.errors import FormatError
@@ -16,6 +18,54 @@ def _wav_bytes(audio_format=1, n_channels=1, sample_rate=48000, bits=16,
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def reference_decode(data, n_channels):
+    """The three-copy decode: float copy, divided copy, transposed copy.
+    Kept as the oracle for the one-copy decode in wavio."""
+    raw = np.frombuffer(data, dtype="<i2").reshape(-1, n_channels)
+    return (raw.astype(np.float64) / wavio.PCM_FULL_SCALE).T.copy()
+
+
+@st.composite
+def pcm_frames(draw):
+    n_channels = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.integers(-32768, 32768, (n, n_channels)).astype("<i2")
+    # full scale and the values around zero, at drawn positions
+    for k, value in draw(st.lists(
+            st.tuples(st.integers(0, n * n_channels - 1),
+                      st.sampled_from([-32768, -32767, -1, 0, 1, 32767])),
+            max_size=8)):
+        frames.flat[k] = value
+    return frames
+
+
+@settings(deadline=None)
+@given(pcm_frames(), st.sampled_from([8000, 16000, 44100, 48000]))
+def test_decode_matches_three_copy_reference(frames, rate):
+    data = frames.tobytes()
+    n_channels = frames.shape[1]
+    channels, got_rate = wavio._parse(_wav_bytes(n_channels=n_channels,
+                                                 sample_rate=rate,
+                                                 payload=data))
+    assert got_rate == rate
+    assert channels.dtype == np.float64
+    assert channels.flags.c_contiguous
+    assert np.array_equal(channels, reference_decode(data, n_channels))
+
+
+def test_load_wav_channels_decodes_full_scale(tmp_path):
+    frames = np.array([[-32768, 32767, 0], [32767, -32768, -1]], dtype="<i2")
+    path = tmp_path / "fs.wav"
+    path.write_bytes(_wav_bytes(n_channels=3, payload=frames.tobytes()))
+    channels, rate = wavio.load_wav_channels(path)
+    assert rate == 48000
+    assert channels.flags.c_contiguous
+    assert np.array_equal(channels, [[-1.0, 32767 / 32768],
+                                     [32767 / 32768, -1.0],
+                                     [0.0, -1 / 32768]])
 
 
 class TestQuantize:
