@@ -4,14 +4,14 @@ Policies: unlimited attempts, hard lockout after n wrong attempts, or a
 fixed delay inserted after every n wrong attempts. Enumeration walks the
 PIN space in ascending or seeded-shuffled order, charging a constant
 per-attempt duration plus any policy delays; its outcome is computed from
-the secret's position in that order.
+the secret's position in that order. Only the seeded shuffle needs a
+candidate array, so only it imports numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 UNLIMITED = "unlimited"
 MAX_ATTEMPTS = "max_attempts"
@@ -32,8 +32,8 @@ class LockPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind in (MAX_ATTEMPTS, DELAY_AFTER) and self.attempt_limit < 1:
             raise ValueError("attempt_limit must be >= 1")
-        if self.kind == DELAY_AFTER and self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
+        if self.kind == DELAY_AFTER and not 0 <= self.delay_s < math.inf:
+            raise ValueError(f"delay_s must be >= 0 and finite, got {self.delay_s}")
         lo, hi = self.pin_length_range
         if not 1 <= lo <= hi:
             raise ValueError(f"bad pin_length_range {self.pin_length_range}")
@@ -74,11 +74,14 @@ class ExpectedTime:
     success_prob: float
 
 
-def _check_digits(policy: LockPolicy, digits: int) -> None:
+def _check_walk(policy: LockPolicy, digits: int, per_attempt_s: float) -> None:
     lo, hi = policy.pin_length_range
     if not lo <= digits <= hi:
         raise ValueError(
             f"{digits}-digit PINs outside the policy's range [{lo}, {hi}]")
+    if not 0 < per_attempt_s < math.inf:
+        raise ValueError(
+            f"per_attempt_s must be positive and finite, got {per_attempt_s}")
 
 
 def candidate_order(digits: int, order: str = "ascending",
@@ -88,12 +91,16 @@ def candidate_order(digits: int, order: str = "ascending",
     `seeded_shuffle` needs an explicit seed, so that the order is
     reproducible.
     """
+    import numpy as np
+
     n = 10 ** digits
     if order == "ascending":
         return np.arange(n)
     if order == "seeded_shuffle":
         if seed is None:
             raise ValueError("order 'seeded_shuffle' needs a seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         return np.random.default_rng(seed).permutation(n)
     raise ValueError(f"unknown order {order!r}")
 
@@ -108,9 +115,7 @@ def enumerate_pins(policy: LockPolicy, digits: int, per_attempt_s: float,
     walk is not stepped: everything follows from the secret's 0-based
     position among the candidates.
     """
-    _check_digits(policy, digits)
-    if per_attempt_s <= 0:
-        raise ValueError("per_attempt_s must be positive")
+    _check_walk(policy, digits, per_attempt_s)
     if len(secret) != digits or not (secret.isascii() and secret.isdigit()):
         raise ValueError(f"secret must be exactly {digits} digits, got {secret!r}")
     target = int(secret)
@@ -119,7 +124,7 @@ def enumerate_pins(policy: LockPolicy, digits: int, per_attempt_s: float,
         index = target
     else:
         candidates = candidate_order(digits, order, seed)
-        index = int(np.flatnonzero(candidates == target)[0])
+        index = int((candidates == target).nonzero()[0][0])
     attempts = index + 1
     n = policy.attempt_limit
     if policy.kind == MAX_ATTEMPTS and attempts > n:
@@ -133,9 +138,7 @@ def enumerate_pins(policy: LockPolicy, digits: int, per_attempt_s: float,
 def expected_time(policy: LockPolicy, digits: int,
                   per_attempt_s: float = DEFAULT_PER_ATTEMPT_S) -> ExpectedTime:
     """Closed-form timing for a uniformly random secret."""
-    _check_digits(policy, digits)
-    if per_attempt_s <= 0:
-        raise ValueError("per_attempt_s must be positive")
+    _check_walk(policy, digits, per_attempt_s)
     n_space = 10 ** digits
     t = per_attempt_s
 

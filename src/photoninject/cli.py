@@ -10,11 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import authsim, defense, devices, diode, injection, mic, optics
-from . import profiles as profile_store
-from . import signals, wavio
 from .errors import BudgetError, DeviceNotFoundError, FormatError
 
 EXIT_OK = 0
@@ -37,6 +32,8 @@ def _emit(rows, header, fmt):
 
 
 def cmd_profiles(args) -> int:
+    from . import devices
+
     rows = [(d.name, d.backend, d.category, "yes" if d.requires_auth else "no",
              f"{d.min_power_mw:g}") for d in devices.load_devices()]
     _emit(rows, ["name", "backend", "category", "requires_auth", "min_power_mw"],
@@ -44,7 +41,11 @@ def cmd_profiles(args) -> int:
     return EXIT_OK
 
 
-def _scenario_from_args(args) -> tuple[injection.AttackScenario, int]:
+def _scenario_from_args(args):
+    """(scenario, trials) from --scenario and/or the flags."""
+    from . import devices, injection, optics
+    from . import profiles as profile_store
+
     if args.scenario:
         scenario, trials = injection.load_scenario(args.scenario)
         overrides = {}
@@ -83,6 +84,8 @@ def _scenario_from_args(args) -> tuple[injection.AttackScenario, int]:
 
 
 def cmd_plan(args) -> int:
+    from . import diode, injection, optics
+
     scenario, _ = _scenario_from_args(args)
     report = injection.simulate_attack(scenario, trials=1)
     op = report.operating_point
@@ -110,6 +113,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_modulate(args) -> int:
+    from . import diode, wavio
+    from . import profiles as profile_store
+
     audio = wavio.load_wav(args.infile)
     diode_profile = profile_store.get_diode(args.diode)
     op = diode.optimize_operating_point(diode_profile, args.budget_mw)
@@ -130,6 +136,8 @@ def cmd_modulate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import injection
+
     scenario, trials = injection.load_scenario(args.scenario)
     if args.trials is not None:
         trials = args.trials
@@ -146,6 +154,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_range(args) -> int:
+    from . import devices, diode, optics
+    from . import profiles as profile_store
+
     device = devices.lookup_device(args.device)
     diode_profile = profile_store.get_diode(args.diode)
     op = diode.optimize_operating_point(diode_profile, args.budget_mw)
@@ -164,7 +175,10 @@ def cmd_range(args) -> int:
     return EXIT_OK if reach > 0 else EXIT_INFEASIBLE
 
 
-def _parse_policy(spec: str) -> authsim.LockPolicy:
+def _parse_policy(spec: str):
+    """The LockPolicy a --policy value names."""
+    from . import authsim
+
     parts = spec.split(":")
     kind = parts[0].replace("_", "-")
     if kind == "unlimited" and len(parts) == 1:
@@ -178,26 +192,33 @@ def _parse_policy(spec: str) -> authsim.LockPolicy:
 
 
 def cmd_bruteforce(args) -> int:
+    from . import authsim
+
     policy = _parse_policy(args.policy)
     row = authsim.summary_row(policy, args.digits, args.per_attempt_s)
-    _emit([row], ["policy", "digits", "per_attempt_s", "worst_s", "mean_s",
-                  "success_prob"], args.format)
-    et = authsim.expected_time(policy, args.digits, args.per_attempt_s)
-    if args.format != "csv":
-        print(f"worst case: {et.worst_s / 3600:.1f} h, "
-              f"mean: {et.mean_s / 3600:.2f} h, "
-              f"success probability: {et.success_prob:g}")
+    # walked before anything is printed, so a bad secret or seed prints nothing
+    result = None
     if args.secret is not None:
         result = authsim.enumerate_pins(policy, args.digits, args.per_attempt_s,
                                         args.secret, args.order, args.seed)
-        print(f"secret {args.secret}: {result.outcome} after "
-              f"{result.attempts_made} attempts, {result.elapsed_s:.1f} s "
-              f"({result.elapsed_s / 3600:.2f} h)")
-        return EXIT_OK if result.outcome == "unlocked" else EXIT_INFEASIBLE
-    return EXIT_OK
+    _emit([row], ["policy", "digits", "per_attempt_s", "worst_s", "mean_s",
+                  "success_prob"], args.format)
+    *_, worst_s, mean_s, success_prob = row
+    if args.format != "csv":
+        print(f"worst case: {worst_s / 3600:.1f} h, "
+              f"mean: {mean_s / 3600:.2f} h, "
+              f"success probability: {success_prob:g}")
+    if result is None:
+        return EXIT_OK
+    print(f"secret {args.secret}: {result.outcome} after "
+          f"{result.attempts_made} attempts, {result.elapsed_s:.1f} s "
+          f"({result.elapsed_s / 3600:.2f} h)")
+    return EXIT_OK if result.outcome == "unlocked" else EXIT_INFEASIBLE
 
 
 def cmd_detect(args) -> int:
+    from . import defense
+
     channel_set = defense.ChannelSet.from_wav(args.infile)
     verdict = defense.detect_injection(
         channel_set, threshold=args.threshold,
@@ -212,6 +233,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_chirp_test(args) -> int:
+    from . import diode, mic, optics, signals
+    from . import profiles as profile_store
+
     sweep = signals.generate_chirp(args.f_start, args.f_end, args.duration,
                                    args.sample_rate)
     diode_profile = profile_store.get_diode(args.diode)
@@ -286,6 +310,8 @@ def _add_range(sub) -> None:
 
 
 def _add_bruteforce(sub) -> None:
+    from . import authsim
+
     p = sub.add_parser("bruteforce", help="PIN brute-force timing under a policy")
     p.add_argument("--digits", type=int, required=True)
     p.add_argument("--policy", required=True,
@@ -301,6 +327,8 @@ def _add_bruteforce(sub) -> None:
 
 
 def _add_detect(sub) -> None:
+    from . import defense
+
     p = sub.add_parser("detect", help="multi-microphone injection detection")
     p.add_argument("--in", dest="infile", required=True,
                    help="multichannel 16-bit PCM WAV")

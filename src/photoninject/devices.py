@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 
 from . import profiles
@@ -71,6 +70,8 @@ def lookup_device(name: str) -> DeviceProfile:
     for device in devices:
         if device.name.lower() == wanted:
             return device
+    import difflib  # only a miss pays for it
+
     suggestions = difflib.get_close_matches(
         name, [d.name for d in devices], n=3, cutoff=0.3)
     raise DeviceNotFoundError(name, suggestions)

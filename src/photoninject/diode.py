@@ -10,6 +10,10 @@ modulation around a bias point:
 so staying inside [I_th, I_max] keeps the light a scaled copy of the
 audio. Clipping is an error here, never silent saturation, because a
 clipped drive would corrupt every fidelity metric downstream.
+
+The profile, the operating point and the scalar planners are plain
+Python; numpy and `signals` are imported only by the functions that
+handle sample arrays, so planning a link does not load them.
 """
 
 from __future__ import annotations
@@ -17,10 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetError
-from .signals import AudioSignal, _check_sample_rate
 
 # absorbs float dust when validating operating points against profiles (mA)
 CURRENT_ATOL_MA = 1e-9
@@ -83,6 +84,19 @@ class OperatingPoint:
                 f"({profile.name})")
 
 
+def _checked_samples(values, sample_rate, what: str) -> np.ndarray:
+    """`values` as float64 after checking them and `sample_rate`."""
+    import numpy as np
+
+    from .signals import _check_sample_rate
+
+    _check_sample_rate(sample_rate)
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError(f"{what} must be finite and >= 0")
+    return arr
+
+
 @dataclass(frozen=True)
 class DriveWaveform:
     """Diode drive current samples in mA."""
@@ -91,11 +105,8 @@ class DriveWaveform:
     sample_rate: int
 
     def __post_init__(self):
-        _check_sample_rate(self.sample_rate)
-        arr = np.asarray(self.currents_ma, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("drive currents must be finite and >= 0")
-        object.__setattr__(self, "currents_ma", arr)
+        object.__setattr__(self, "currents_ma", _checked_samples(
+            self.currents_ma, self.sample_rate, "drive currents"))
 
 
 @dataclass(frozen=True)
@@ -106,15 +117,12 @@ class LightWaveform:
     sample_rate: int
 
     def __post_init__(self):
-        _check_sample_rate(self.sample_rate)
-        arr = np.asarray(self.powers_mw, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("optical powers must be finite and >= 0")
-        object.__setattr__(self, "powers_mw", arr)
+        object.__setattr__(self, "powers_mw", _checked_samples(
+            self.powers_mw, self.sample_rate, "optical powers"))
 
     @property
     def mean_mw(self) -> float:
-        return float(np.mean(self.powers_mw))
+        return float(self.powers_mw.mean())
 
 
 def optical_power(profile: DiodeProfile, current_ma: float) -> float:
@@ -161,8 +169,8 @@ def optimize_operating_point(profile: DiodeProfile,
     Raises BudgetError when the diode cannot emit `budget_mw` average at
     all, i.e. I_th + L/eta > I_max even with zero swing.
     """
-    if budget_mw <= 0:
-        raise ValueError(f"budget must be positive, got {budget_mw} mW")
+    if not 0 < budget_mw < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget_mw} mW")
     amplitude = budget_mw / profile.slope_mw_per_ma  # I_DC - I_th, unclipped
     if profile.threshold_ma + amplitude > profile.max_current_ma + CURRENT_ATOL_MA:
         raise BudgetError(
@@ -181,6 +189,8 @@ def average_power(profile: DiodeProfile, op: OperatingPoint) -> float:
 
 def emitted_light(profile: DiodeProfile, drive: DriveWaveform) -> LightWaveform:
     """Pointwise current-to-light conversion of a drive waveform."""
+    import numpy as np
+
     currents = drive.currents_ma
     bad = np.flatnonzero((currents < -CURRENT_ATOL_MA) |
                          (currents > profile.max_current_ma + CURRENT_ATOL_MA))
@@ -196,6 +206,8 @@ def emitted_light(profile: DiodeProfile, drive: DriveWaveform) -> LightWaveform:
 
 def save_drive_csv(drive: DriveWaveform, path) -> None:
     """Write `time_s,current_ma` rows (time to 9 dp, current to 6 dp)."""
+    import numpy as np
+
     currents = drive.currents_ma
     # arange(n) / rate is bit-identical to i / rate for every n < 2**53
     times = np.arange(currents.size) / drive.sample_rate
@@ -214,7 +226,10 @@ def save_drive_wav(drive: DriveWaveform, op: OperatingPoint, path,
     Sample value v maps back to current I_DC + (I_pp/2) * (v/32768); the
     sidecar records the (I_DC, I_pp) needed to invert.
     """
+    import numpy as np
+
     from . import wavio
+    from .signals import AudioSignal
 
     half = op.peak_to_peak_ma / 2
     if half > 0:

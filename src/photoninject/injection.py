@@ -68,6 +68,8 @@ class AttackScenario:
         if not math.isfinite(self.distance_m) or self.distance_m <= 0:
             raise ValueError(
                 f"distance_m must be positive and finite, got {self.distance_m}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -299,8 +301,6 @@ def load_scenario(path) -> tuple[AttackScenario, int]:
     diode = profile_store.get_diode(values.get("diode.name", "blue-450"))
     distance = fnum("distance_m")
     seed = inum("seed", 0)
-    if seed < 0:
-        raise FormatError(f"{source}: seed must be >= 0, got {seed}")
     trials = inum("trials", 10)
     if trials < 1:
         raise FormatError(f"{source}: trials must be >= 1")

@@ -8,7 +8,9 @@ comments.
 A profile file is read on every load but parsed only when its text
 differs from the text last parsed for that file name, so an edited or
 redirected file is always picked up. Loaders hand out copies of the
-parsed table; the profiles themselves are frozen.
+parsed table; the profiles themselves are frozen. The profile classes
+are imported by the table that builds them, so listing devices loads
+neither the diode model nor the microphone's waveform code (and numpy).
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .diode import DiodeProfile
 from .errors import FormatError
-from .mic import MicProfile
 
 PROFILE_DIR_ENV = "PHOTONINJECT_PROFILE_DIR"
 
@@ -89,6 +89,8 @@ def _build(profile_cls, filename: str, line: int, **fields):
 
 
 def _build_diodes(rows) -> dict[str, DiodeProfile]:
+    from .diode import DiodeProfile
+
     fn = "diodes.csv"
     out = {}
     for line, row in rows:
@@ -105,6 +107,8 @@ def _build_diodes(rows) -> dict[str, DiodeProfile]:
 
 
 def _build_mics(rows) -> dict[str, MicProfile]:
+    from .mic import MicProfile
+
     fn = "mics.csv"
     out = {}
     for line, row in rows:

@@ -8,11 +8,12 @@ produce bit-identical sample arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 def _as_readonly_f64(values) -> np.ndarray:

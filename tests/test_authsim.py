@@ -115,6 +115,14 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="per_attempt"):
             enumerate_pins(LockPolicy.unlimited(), 2, 0.0, "00")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_per_attempt_finite(self, bad):
+        with pytest.raises(ValueError, match="per_attempt_s must be positive "
+                                             "and finite"):
+            enumerate_pins(LockPolicy.unlimited(), 2, bad, "00")
+        with pytest.raises(ValueError, match="per_attempt_s"):
+            expected_time(LockPolicy.unlimited(), 2, bad)
+
     def test_attempts_equal_position_in_order(self):
         policy = LockPolicy.unlimited()
         order = candidate_order(2, "seeded_shuffle", seed=3)
@@ -160,6 +168,13 @@ class TestCandidateOrder:
     def test_unknown_order(self):
         with pytest.raises(ValueError, match="order"):
             candidate_order(2, "random")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            candidate_order(3, "seeded_shuffle", seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+            enumerate_pins(LockPolicy.unlimited(), 3, 1.0, "123",
+                           "seeded_shuffle", seed=-2)
 
     def test_shuffle_without_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -216,6 +231,10 @@ class TestPolicy:
             LockPolicy.max_attempts(0)
         with pytest.raises(ValueError):
             LockPolicy.unlimited(pin_length_range=(0, 4))
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delay_s must be >= 0 and "
+                                                 "finite"):
+                LockPolicy.delay_after(3, bad)
 
     def test_describe(self):
         assert LockPolicy.unlimited().describe() == "unlimited"

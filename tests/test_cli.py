@@ -74,6 +74,13 @@ class TestPlan:
         code, _, err = run(["plan", "--device", "Google Home"], capsys)
         assert code == 2
 
+    def test_negative_seed_exits_2(self, scenario_file, capsys):
+        for extra in (["--device", "Google Home", "--budget-mw", "5",
+                       "--distance-m", "10"], ["--scenario", scenario_file]):
+            code, out, err = run(["plan", *extra, "--seed", "-1"], capsys)
+            assert (code, out) == (2, "")
+            assert err == "error: seed must be >= 0, got -1\n"
+
 
 class TestSimulate:
     def test_simulate_scenario(self, scenario_file, capsys):
@@ -89,6 +96,12 @@ class TestSimulate:
         _, out1, _ = run(["simulate", "--scenario", scenario_file], capsys)
         _, out2, _ = run(["simulate", "--scenario", scenario_file], capsys)
         assert out1 == out2
+
+    def test_negative_seed_exits_2(self, scenario_file, capsys):
+        code, out, err = run(["simulate", "--scenario", scenario_file,
+                              "--seed", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0, got -1\n"
 
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run(["simulate", "--scenario", "/nonexistent/s.txt"], capsys)
@@ -141,6 +154,13 @@ class TestProfileColumns:
 
 
 class TestRange:
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exits_2(self, budget, capsys):
+        code, out, err = run(["range", "--device", "Google Home",
+                              "--budget-mw", budget], capsys)
+        assert (code, out) == (2, "")
+        assert f"budget must be positive and finite, got {budget}" in err
+
     def test_corridor_scale(self, capsys):
         code, out, _ = run(["range", "--device", "Google Home",
                             "--budget-mw", "5", "--format", "csv"], capsys)
@@ -200,6 +220,21 @@ class TestBruteforce:
         code, _, err = run(["bruteforce", "--digits", "4",
                             "--policy", "sometimes"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--per-attempt-s", "nan"], "per_attempt_s must be positive and "
+                                     "finite, got nan"),
+        (["--per-attempt-s", "inf"], "per_attempt_s must be positive and "
+                                     "finite, got inf"),
+        (["--policy", "delay-after:3:nan"], "delay_s must be >= 0 and finite"),
+        (["--secret", "1234", "--order", "seeded_shuffle", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+    ])
+    def test_bad_number_exits_2(self, flags, message, capsys):
+        argv = ["bruteforce", "--digits", "4", "--policy", "unlimited"]
+        code, out, err = run(argv + flags, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 class TestDetect:

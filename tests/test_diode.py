@@ -156,6 +156,13 @@ class TestOptimizeOperatingPoint:
         with pytest.raises(ValueError, match="budget"):
             optimize_operating_point(simple(), 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_budget_finite(self, bad):
+        # inf is a usage error, not an unreachable budget (BudgetError)
+        with pytest.raises(ValueError, match="positive and finite") as info:
+            optimize_operating_point(simple(), bad)
+        assert not isinstance(info.value, BudgetError)
+
     def test_average_power_meets_budget(self, blue):
         tone = generate_tone(1000, 1.0, 48000, 1.0)
         for budget in (0.5, 5.0, 60.0):

@@ -369,6 +369,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             replace(good, **{field: bad})
 
+    def test_negative_seed_rejected(self):
+        good = scenario_for("Google Home", 5.0, 10.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            replace(good, rng_seed=-1)
+        assert replace(good, rng_seed=0).rng_seed == 0
+
 
 class TestRecognitionEdge:
     def test_width_positive(self):
