@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import profiles
-from .profiles import _build, _field, _number
-from .errors import DeviceNotFoundError, FormatError
+from .profiles import _build, _field, _number, _parse_bool
+from .errors import DeviceNotFoundError
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,6 @@ class DeviceProfile:
             raise ValueError("port_diameter_m must be positive")
         if self.port_count < 1:
             raise ValueError("port_count must be >= 1")
-
-
-def _parse_bool(text: str, where: str) -> bool:
-    v = text.strip().lower()
-    if v in ("yes", "true", "1"):
-        return True
-    if v in ("no", "false", "0"):
-        return False
-    raise FormatError(f"{where}: bad boolean {text!r}")
 
 
 def _build_devices(rows) -> list[DeviceProfile]:

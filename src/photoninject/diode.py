@@ -59,8 +59,11 @@ class OperatingPoint:
     peak_to_peak_ma: float   # I_pp
 
     def __post_init__(self):
-        if self.peak_to_peak_ma < 0:
-            raise ValueError(f"peak_to_peak_ma must be >= 0, got {self.peak_to_peak_ma}")
+        if not -math.inf < self.bias_ma < math.inf:
+            raise ValueError(f"bias_ma must be finite, got {self.bias_ma}")
+        if not 0 <= self.peak_to_peak_ma < math.inf:
+            raise ValueError(f"peak_to_peak_ma must be >= 0 and finite, "
+                             f"got {self.peak_to_peak_ma}")
 
     @property
     def min_current_ma(self) -> float:
@@ -131,7 +134,7 @@ def optical_power(profile: DiodeProfile, current_ma: float) -> float:
     Currents outside [0, I_max] are rejected (the upper bound models the
     damage limit).
     """
-    if current_ma < 0 or current_ma > profile.max_current_ma:
+    if not 0 <= current_ma <= profile.max_current_ma:
         raise ValueError(
             f"current {current_ma} mA outside [0, {profile.max_current_ma}] mA "
             f"({profile.name})")

@@ -201,7 +201,7 @@ def simulate_attack(scenario: AttackScenario, trials: int,
     else:
         p = success_probability(scenario.device, received, edge)
     rng = np.random.default_rng(scenario.rng_seed)
-    outcomes = tuple(bool(v) for v in rng.random(trials) < p)
+    outcomes = tuple((rng.random(trials) < p).tolist())
     if scenario.device.note:
         notes.append(scenario.device.note)
     return AttackReport(
@@ -253,15 +253,6 @@ def _parse_scenario_text(text: str, source: str) -> dict[str, str]:
             raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
-
-
-def _scenario_bool(text: str, source: str) -> bool:
-    v = text.lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise FormatError(f"{source}: bad boolean {text!r}")
 
 
 def load_scenario(path) -> tuple[AttackScenario, int]:
@@ -330,7 +321,7 @@ def load_scenario(path) -> tuple[AttackScenario, int]:
             budget_mw=fnum("budget_mw"),
             distance_m=distance,
             command_text=values.get("command_text", ""),
-            wake_word_matched=_scenario_bool(
+            wake_word_matched=profile_store._parse_bool(
                 values.get("wake_word_matched", "false"), source),
             rng_seed=seed,
         )

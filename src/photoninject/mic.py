@@ -115,7 +115,8 @@ def output_vpp(profile: MicProfile, ipp_effective_mw: float) -> float:
     Linear in the drive up to saturation, constant beyond it:
     min(r * I_pp_effective, r * saturation).
     """
-    if ipp_effective_mw < 0:
-        raise ValueError("ipp_effective_mw must be >= 0")
+    if not 0 <= ipp_effective_mw < math.inf:
+        raise ValueError(
+            f"ipp_effective_mw must be >= 0 and finite, got {ipp_effective_mw}")
     return profile.responsivity_per_mw * min(ipp_effective_mw,
                                              profile.saturation_mw)

@@ -90,14 +90,22 @@ class Aperture:
             raise ValueError("offset_m must be >= 0 and finite")
 
 
+def _check_distance(distance_m: float) -> None:
+    if not 0 < distance_m < math.inf:
+        raise ValueError(
+            f"distance must be positive and finite, got {distance_m}")
+
+
+def _spot(path: OpticalPath, distance_m: float, focus_m: float) -> float:
+    d_diff = 2.44 * path.wavelength_nm * 1e-9 * distance_m / path.lens_diameter_m
+    d_defocus = path.lens_diameter_m * abs(distance_m - focus_m) / focus_m
+    return max(d_diff, d_defocus) + 2.0 * path.pointing_jitter_m
+
+
 def spot_diameter(path: OpticalPath, distance_m: float) -> float:
     """Beam diameter at the target for the given path."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    d_diff = 2.44 * path.wavelength_nm * 1e-9 * distance_m / path.lens_diameter_m
-    d_defocus = (path.lens_diameter_m *
-                 abs(distance_m - path.focus_distance_m) / path.focus_distance_m)
-    return max(d_diff, d_defocus) + 2.0 * path.pointing_jitter_m
+    _check_distance(distance_m)
+    return _spot(path, distance_m, path.focus_distance_m)
 
 
 def disk_overlap_area(r1: float, r2: float, center_distance: float) -> float:
@@ -137,10 +145,18 @@ def capture_fraction(spot_diameter_m: float, aperture: Aperture) -> float:
 def received_power(path: OpticalPath, aperture: Aperture, distance_m: float,
                    emitted_avg_mw: float) -> float:
     """Average power entering the port, mW. Never exceeds the emitted power."""
-    if emitted_avg_mw < 0:
-        raise ValueError("emitted_avg_mw must be >= 0")
-    spot = spot_diameter(path, distance_m)
-    frac = capture_fraction(spot, aperture)
+    if not 0 <= emitted_avg_mw < math.inf:
+        raise ValueError(
+            f"emitted_avg_mw must be >= 0 and finite, got {emitted_avg_mw}")
+    _check_distance(distance_m)
+    return _received(path, aperture, distance_m, path.focus_distance_m,
+                     emitted_avg_mw)
+
+
+def _received(path: OpticalPath, aperture: Aperture, distance_m: float,
+              focus_m: float, emitted_avg_mw: float) -> float:
+    """`received_power` of `path` refocused at `focus_m`, unchecked."""
+    frac = capture_fraction(_spot(path, distance_m, focus_m), aperture)
     return (emitted_avg_mw * frac * path.window_transmission *
             path.mesh_transmission * math.cos(math.radians(path.incidence_angle_deg)))
 
@@ -153,14 +169,17 @@ def max_range(path: OpticalPath, aperture: Aperture, emitted_avg_mw: float,
     requirement already fails at 0.01 m and the 10 km cap when it still
     holds there (unbounded at model scale).
     """
-    if emitted_avg_mw <= 0:
-        raise ValueError("emitted_avg_mw must be positive")
-    if required_mw <= 0:
-        raise ValueError("required_mw must be positive")
+    if not 0 < emitted_avg_mw < math.inf:
+        raise ValueError(
+            f"emitted_avg_mw must be positive and finite, got {emitted_avg_mw}")
+    if not 0 < required_mw < math.inf:
+        raise ValueError(
+            f"required_mw must be positive and finite, got {required_mw}")
 
+    # received_power(path.focused_at(d), aperture, d, emitted), without
+    # building a path per probe
     def feasible(d: float) -> bool:
-        return received_power(path.focused_at(d), aperture, d,
-                              emitted_avg_mw) >= required_mw
+        return _received(path, aperture, d, d, emitted_avg_mw) >= required_mw
 
     if not feasible(RANGE_FLOOR_M):
         return 0.0

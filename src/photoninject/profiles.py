@@ -5,12 +5,13 @@ variable PHOTONINJECT_PROFILE_DIR points the loaders at a directory with
 replacement files of the same names. Lines starting with '#' are
 comments.
 
-A profile file is read on every load but parsed only when its text
-differs from the text last parsed for that file name, so an edited or
-redirected file is always picked up. Loaders hand out copies of the
-parsed table; the profiles themselves are frozen. The profile classes
-are imported by the table that builds them, so listing devices loads
-neither the diode model nor the microphone's waveform code (and numpy).
+A packaged table is read and parsed once per process. A replacement file
+is read on every load but parsed only when its text differs from the
+text last parsed for that file name, so an edited or redirected file is
+always picked up. Loaders hand out copies of the parsed table; the
+profiles themselves are frozen. The profile classes are imported by the
+table that builds them, so listing devices loads neither the diode model
+nor the microphone's waveform code (and numpy).
 """
 
 from __future__ import annotations
@@ -18,25 +19,30 @@ from __future__ import annotations
 import csv
 import math
 import os
-from importlib import resources
-from pathlib import Path
 
 from .errors import FormatError
 
 PROFILE_DIR_ENV = "PHOTONINJECT_PROFILE_DIR"
 
-_tables: dict[str, tuple] = {}  # file name -> (text, built table)
+# next to this file rather than through importlib.resources, whose import
+# (with pathlib and zipfile) would dominate a cold start
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+_packaged: dict[str, object] = {}      # file name -> built table
+_replaced: dict[str, tuple] = {}       # file name -> (text, built table)
 
 
 def _read_text(filename: str) -> str:
     override = os.environ.get(PROFILE_DIR_ENV)
     if override:
-        path = Path(override) / filename
-        if not path.is_file():
+        path = os.path.join(override, filename)
+        if not os.path.isfile(path):
             raise FormatError(f"{path}: profile file not found "
                               f"({PROFILE_DIR_ENV} is set to {override!r})")
-        return path.read_text()
-    return (resources.files("photoninject") / "data" / filename).read_text()
+    else:
+        path = os.path.join(_DATA_DIR, filename)
+    with open(path) as fh:
+        return fh.read()
 
 
 def _parse_rows(text: str, filename: str) -> list[tuple[int, dict]]:
@@ -51,12 +57,19 @@ def _parse_rows(text: str, filename: str) -> list[tuple[int, dict]]:
 
 
 def _table(filename: str, build):
-    """`build(rows)` of the file's current text, rebuilt only on a change."""
+    """`build(rows)` of the table: a packaged file is built once per
+    process, a replacement file again whenever its text changes."""
+    if not os.environ.get(PROFILE_DIR_ENV):
+        built = _packaged.get(filename)
+        if built is None:
+            built = build(_parse_rows(_read_text(filename), filename))
+            _packaged[filename] = built
+        return built
     text = _read_text(filename)
-    entry = _tables.get(filename)
+    entry = _replaced.get(filename)
     if entry is None or entry[0] != text:
         entry = (text, build(_parse_rows(text, filename)))
-        _tables[filename] = entry
+        _replaced[filename] = entry
     return entry[1]
 
 
@@ -78,6 +91,16 @@ def _number(row: dict, key: str, filename: str, line: int, kind=float):
         pass
     raise FormatError(f"{filename}:{line}: bad number for column "
                       f"{key!r}: {value!r}")
+
+
+def _parse_bool(text: str, where: str) -> bool:
+    """A yes/no value from a table or scenario file, which `where` names."""
+    v = text.strip().lower()
+    if v in ("yes", "true", "1"):
+        return True
+    if v in ("no", "false", "0"):
+        return False
+    raise FormatError(f"{where}: bad boolean {text!r}")
 
 
 def _build(profile_cls, filename: str, line: int, **fields):

@@ -64,6 +64,15 @@ class TestOpticalPower:
         with pytest.raises(ValueError, match="outside"):
             optical_power(simple(), 400.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_current_and_operating_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            optical_power(simple(), bad)
+        with pytest.raises(ValueError, match="bias_ma must be finite"):
+            OperatingPoint(bad, 10.0)
+        with pytest.raises(ValueError, match="peak_to_peak_ma must be >= 0"):
+            OperatingPoint(200.0, bad)
+
     def test_monotone_nondecreasing(self, blue):
         grid = np.linspace(0, blue.max_current_ma, 500)
         powers = [optical_power(blue, c) for c in grid]

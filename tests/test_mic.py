@@ -70,16 +70,6 @@ class TestTransduce:
         assert np.std(out.samples) == pytest.approx(0.01, rel=0.02)
 
 
-class TestProfileValidation:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_fields_rejected(self, bad):
-        for field in range(5):
-            values = [4.0, 20.0, 20000.0, 0.1, 0.005]
-            values[field] = bad
-            with pytest.raises(ValueError, match="finite"):
-                MicProfile("m", *values)
-
-
 class TestBandpass:
     def test_passband_is_flat(self):
         tone = generate_tone(1000, 0.5, 48000, 1.0)
@@ -130,8 +120,21 @@ class TestOutputVpp:
         with pytest.raises(ValueError):
             output_vpp(quiet(), -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            output_vpp(quiet(), bad)
+
 
 class TestProfileValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_fields_rejected(self, bad):
+        for field in range(5):
+            values = [4.0, 20.0, 20000.0, 0.1, 0.005]
+            values[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MicProfile("m", *values)
+
     def test_bad_band(self):
         with pytest.raises(ValueError):
             MicProfile("x", 1.0, 100.0, 50.0, 0.1, 0.0)

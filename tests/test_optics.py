@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photoninject import optics
@@ -170,6 +170,17 @@ class TestMaxRange:
         r = max_range(ideal(1.0), Aperture(10.0), 5.0, 1.0)
         assert r == optics.MAX_RANGE_CAP_M
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_arguments_rejected(self, bad):
+        path, ap = OpticalPath.default(1.0), Aperture(0.001)
+        for call in (lambda: spot_diameter(path, bad),
+                     lambda: received_power(path, ap, bad, 5.0),
+                     lambda: received_power(path, ap, 10.0, bad),
+                     lambda: max_range(path, ap, bad, 0.5),
+                     lambda: max_range(path, ap, 5.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_resolution(self):
         r = max_range(OpticalPath.default(1.0), Aperture(0.001), 5.0, 0.5)
         # received at r feasible, at r + 2 cm not
@@ -220,6 +231,31 @@ class TestHelpers:
             Aperture(bad)
         with pytest.raises(ValueError, match="finite"):
             Aperture(0.001, bad)
+
+
+def reference_max_range(path, aperture, emitted_avg_mw, required_mw):
+    """The bisection as first written: one refocused path per probe."""
+    if emitted_avg_mw <= 0:
+        raise ValueError("emitted_avg_mw must be positive")
+    if required_mw <= 0:
+        raise ValueError("required_mw must be positive")
+
+    def feasible(d: float) -> bool:
+        return received_power(path.focused_at(d), aperture, d,
+                              emitted_avg_mw) >= required_mw
+
+    if not feasible(optics.RANGE_FLOOR_M):
+        return 0.0
+    if feasible(optics.MAX_RANGE_CAP_M):
+        return optics.MAX_RANGE_CAP_M
+    lo, hi = optics.RANGE_FLOOR_M, optics.MAX_RANGE_CAP_M
+    while hi - lo > optics.RANGE_RESOLUTION_M:
+        mid = (lo + hi) / 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # --- physics invariants over random links -----------------------------------
@@ -278,3 +314,16 @@ class TestInvariants:
         low, high = sorted((p1, p2))
         assert (max_range(path, aperture, low, required)
                 <= max_range(path, aperture, high, required))
+
+    @settings(deadline=None, max_examples=300)
+    @given(paths, apertures, finite(1e-6, 1e4), finite(1e-9, 1e4))
+    # unbounded at model scale, and infeasible already at the floor
+    @example(OpticalPath.ideal(1.0), Aperture(10.0), 5.0, 1.0)
+    @example(OpticalPath.default(1.0), Aperture(0.001), 5.0, 6.0)
+    # jitter, an offset port, incidence and a tinted window at once
+    @example(OpticalPath(0.086, 3.0, 638.0, pointing_jitter_m=0.002,
+                         window_transmission=0.7, incidence_angle_deg=30.0),
+             Aperture(0.002, 0.001), 60.0, 0.5)
+    def test_range_matches_reference(self, path, aperture, emitted, required):
+        assert (max_range(path, aperture, emitted, required)
+                == reference_max_range(path, aperture, emitted, required))

@@ -134,6 +134,26 @@ class TestParsedTableMemo:
         assert path.stat().st_size == size
         assert profiles.get_diode("lab").wavelength_nm == 505.0
 
+    def test_packaged_tables_are_read_once(self, tmp_path, monkeypatch):
+        profiles.get_diode("blue-450")
+        devices.lookup_device("Google Home")
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(profiles, "open", spy, raising=False)
+        assert profiles.get_diode("blue-450").wavelength_nm == 450.0
+        assert devices.lookup_device("Google Home").name == "Google Home"
+        assert opened == []
+        (tmp_path / "diodes.csv").write_text(
+            DIODE_HEADER + "lab,15.0,0.5,120.0,405.0\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        for _ in range(2):
+            assert profiles.get_diode("lab").wavelength_nm == 405.0
+        assert opened == [str(tmp_path / "diodes.csv")] * 2
+
     def test_mutating_a_result_does_not_leak(self):
         diodes = profiles.load_diodes()
         diodes.clear()

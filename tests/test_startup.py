@@ -77,6 +77,17 @@ def test_module_entry_point_imports_no_numpy():
     assert digest(proc.stdout) == PROFILES_SHA256, proc.stdout.decode()
 
 
+def test_profiles_load_without_importlib_resources():
+    # -S: no site module, which in some environments imports
+    # importlib.resources itself and would hide the import
+    proc = python("-S", "-c",
+                  "import sys, photoninject.profiles as p; "
+                  "print(len(p.load_diodes()), "
+                  "'importlib.resources' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["3", "False"]
+
+
 # --- the lazy package namespace ----------------------------------------------
 
 # every name the package re-exported when its __init__ imported eagerly
