@@ -14,6 +14,8 @@ sound here; the verdict notes say so whenever that situation applies.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ DEFAULT_THRESHOLD = 0.5
 DEFAULT_FRAME = 1024
 LAG_WINDOW_S = 0.001   # inter-port acoustic skew bound for hand-sized devices
 ENERGY_FLOOR_MARGIN_DB = 6.0
+_BLOCK_BYTES = 1 << 20   # correlation output per block in pairwise_max_ncc
 
 CLEAN = "clean"
 INJECTION_SUSPECTED = "injection_suspected"
@@ -116,35 +119,35 @@ def _smooth_fft_len(n: int) -> int:
 def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """Per-frame maximum normalized cross-correlation of every channel pair.
 
-    frames: zero-mean (n_ch, n_frames, frame_len) float64. Entry (i, j, f)
-    is the maximum over lags in [-max_lag, max_lag] of the zero-padded
-    cross-correlation of frame f of channels i and j, divided by the product
-    of the two full-frame norms. Returns (n_ch, n_ch, n_frames): symmetric,
-    in [-1, 1], 0 where either frame has zero norm, diagonal exactly 1.
+    frames: (n_ch, n_frames, frame_len) float64, each frame demeaned here.
+    Entry (i, j, f) is the maximum over lags in [-max_lag, max_lag] of the
+    zero-padded cross-correlation of frame f of channels i and j over the
+    product of their norms: (n_ch, n_ch, n_frames), symmetric, in [-1, 1],
+    0 where either frame is constant, diagonal exactly 1. Frames go through
+    in blocks whose correlations fit in _BLOCK_BYTES, which bounds memory.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
     n_ch, n_frames, frame_len = frames.shape
-    # nfft >= frame_len + max_lag keeps every lag in the window free of
-    # circular wrap-around
+    # nfft >= frame_len + max_lag: no lag in the window wraps around
     nfft = _smooth_fft_len(frame_len + max_lag)
-    spectra = np.fft.rfft(frames, nfft, axis=-1)
-    norms = np.linalg.norm(frames, axis=-1)
-
+    i, j = np.triu_indices(n_ch, k=1)
+    step = max(1, _BLOCK_BYTES // (max(i.size, 1) * nfft * 8))
+    lags = np.arange(-max_lag, max_lag + 1)  # negative lags wrap to the end
     out = np.ones((n_ch, n_ch, n_frames))
-    # one reference channel a at a time against every b > a, so at most
-    # n_ch - 1 pairs are in flight;
-    # cc[b - a - 1, f, l] = sum_t frames[a, f, t] * frames[b, f, t + l]
-    for a in range(n_ch - 1):
-        cc = np.fft.irfft(np.conj(spectra[a]) * spectra[a + 1:], nfft, axis=-1)
-        best = cc[..., :max_lag + 1].max(axis=-1)
-        if max_lag > 0:
-            best = np.maximum(best, cc[..., nfft - max_lag:].max(axis=-1))
-        denom = norms[a] * norms[a + 1:]
+    for f in range(0, n_frames, step):
+        block = frames[:, f:f + step]
+        block = block - block.mean(axis=-1, keepdims=True)
+        spectra = np.fft.rfft(block, nfft, axis=-1)
+        norms = np.linalg.norm(block, axis=-1)
+        # cc[p, f, l] = sum_t block[i[p], f, t] * block[j[p], f, t + l]
+        cc = np.fft.irfft(np.conj(spectra[i]) * spectra[j], nfft, axis=-1)
+        best = cc[..., lags].max(axis=-1)
+        denom = norms[i] * norms[j]
         pair = np.divide(best, denom, out=np.zeros_like(best), where=denom > 0)
-        out[a, a + 1:] = pair
-        out[a + 1:, a] = pair
+        out[i, j, f:f + step] = pair
+        out[j, i, f:f + step] = pair
     return out
 
 
@@ -156,8 +159,8 @@ def channel_similarity(channel_set: ChannelSet,
     normalized cross-correlation between channels i and j within the
     +/-1 ms lag window.
     """
-    if frame < 256:
-        raise ValueError(f"frame must be >= 256 samples, got {frame}")
+    if not isinstance(frame, numbers.Integral) or frame < 256:
+        raise ValueError(f"frame must be an integer >= 256, got {frame}")
     n = channel_set.channels.shape[1]
     if n < frame:
         raise ValueError(
@@ -165,10 +168,8 @@ def channel_similarity(channel_set: ChannelSet,
     n_frames = n // frame
     framed = channel_set.channels[:, :n_frames * frame].reshape(
         channel_set.n_channels, n_frames, frame)
-    framed = framed - framed.mean(axis=2, keepdims=True)
     max_lag = min(round(channel_set.sample_rate * LAG_WINDOW_S), frame - 1)
-    per_frame = pairwise_max_ncc(framed, max_lag)
-    return np.median(per_frame, axis=2)
+    return np.median(pairwise_max_ncc(framed, max_lag), axis=2)
 
 
 def detect_injection(channel_set: ChannelSet, threshold: float = DEFAULT_THRESHOLD,
@@ -186,28 +187,26 @@ def detect_injection(channel_set: ChannelSet, threshold: float = DEFAULT_THRESHO
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if energy_floor is None:
         energy_floor = default_energy_floor()
+    elif not 0 <= energy_floor < math.inf:
+        raise ValueError(
+            f"energy_floor must be >= 0 and finite, got {energy_floor}")
     scores = channel_similarity(channel_set, frame)
     n_ch = channel_set.n_channels
-    energies = np.mean(channel_set.channels ** 2, axis=1)
-    off_diag = ~np.eye(n_ch, dtype=bool)
-    median_sim = np.array([np.median(scores[i][off_diag[i]]) for i in range(n_ch)])
+    # one channel at a time: no temporary the size of the recording
+    energies = np.array([np.mean(row ** 2) for row in channel_set.channels])
+    others = scores[~np.eye(n_ch, dtype=bool)].reshape(n_ch, n_ch - 1)
+    median_sim = np.median(others, axis=1)
+    loud = [i for i in range(n_ch) if energies[i] > energy_floor]
+    implicated = tuple(i for i in loud if np.all(others[i] < threshold))
 
-    implicated = tuple(
-        i for i in range(n_ch)
-        if energies[i] > energy_floor and np.all(scores[i][off_diag[i]] < threshold))
-
+    status = INJECTION_SUSPECTED if implicated else CLEAN
     notes = ""
     if implicated:
-        status = INJECTION_SUSPECTED
-        quiet = [j for j in range(n_ch) if energies[j] <= energy_floor]
+        quiet = [j for j in range(n_ch) if j not in loud]
         notes = (f"channel(s) {', '.join(map(str, implicated))} carry signal "
                  f"unmatched on any other channel"
                  + (f"; channel(s) {', '.join(map(str, quiet))} sit at the "
                     f"noise floor" if quiet else ""))
-    else:
-        status = CLEAN
-        energized = [i for i in range(n_ch) if energies[i] > energy_floor]
-        if len(energized) >= 2 and all(
-                median_sim[i] >= threshold for i in energized):
-            notes = BLIND_SPOT_NOTE
+    elif len(loud) >= 2 and all(median_sim[i] >= threshold for i in loud):
+        notes = BLIND_SPOT_NOTE
     return Verdict(status, implicated, scores, energies, median_sim, notes)

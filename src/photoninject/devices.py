@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import profiles
@@ -24,10 +25,10 @@ class DeviceProfile:
     note: str = ""
 
     def __post_init__(self):
-        if self.min_power_mw <= 0:
-            raise ValueError("min_power_mw must be positive")
-        if self.port_diameter_m <= 0:
-            raise ValueError("port_diameter_m must be positive")
+        if not 0 < self.min_power_mw < math.inf:
+            raise ValueError("min_power_mw must be positive and finite")
+        if not 0 < self.port_diameter_m < math.inf:
+            raise ValueError("port_diameter_m must be positive and finite")
         if self.port_count < 1:
             raise ValueError("port_count must be >= 1")
 

@@ -37,8 +37,8 @@ class RecognitionEdge:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("edge width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("edge width must be positive and finite")
 
 
 # Fitted on the Google Home Mini distance-accuracy data (success rates
@@ -104,8 +104,8 @@ class AttackReport:
 def success_probability(device: DeviceProfile, received_mw: float,
                         edge: RecognitionEdge = DEFAULT_EDGE) -> float:
     """Per-attempt recognition probability for the received power."""
-    if received_mw < 0:
-        raise ValueError("received_mw must be >= 0")
+    if not 0 <= received_mw < math.inf:
+        raise ValueError("received_mw must be >= 0 and finite")
     p = _raw_probability(device.min_power_mw, received_mw, edge.width)
     if p < P_CLAMP_LOW:
         return 0.0

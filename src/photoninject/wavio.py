@@ -27,12 +27,14 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 
 def _iter_chunks(blob: bytes):
-    """Yield (chunk id, payload) pairs from the RIFF body."""
+    """Yield (chunk id, payload) pairs from the RIFF body; each payload is
+    a memoryview into blob, not a copy."""
+    view = memoryview(blob)
     pos = 12
     while pos + 8 <= len(blob):
-        cid = blob[pos:pos + 4]
+        cid = bytes(view[pos:pos + 4])
         (size,) = struct.unpack_from("<I", blob, pos + 4)
-        payload = blob[pos + 8:pos + 8 + size]
+        payload = view[pos + 8:pos + 8 + size]
         if len(payload) < size:
             raise FormatError(
                 f"{cid.decode('ascii', 'replace')} chunk: truncated "

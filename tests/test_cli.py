@@ -264,6 +264,22 @@ class TestDetect:
         code, _, _ = run(["detect", "--in", "/nonexistent.wav"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-0.001"])
+    def test_bad_energy_floor_exits_2(self, tmp_path, capsys, floor):
+        # a NaN or infinite floor used to gate every channel out and
+        # report a flagged recording as clean
+        rng = np.random.default_rng(3)
+        chans = rng.normal(0, 0.005, (3, SR // 2))
+        chans[1] += synth_command(rng, SR // 2, SR)
+        path = tmp_path / "inj.wav"
+        wavio.save_wav_channels(chans, SR, path)
+        assert run(["detect", "--in", str(path)], capsys)[0] == 1
+        code, out, err = run(["detect", "--in", str(path),
+                              f"--energy-floor={floor}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"energy_floor must be >= 0 and finite, got {float(floor)}" in err
+
 
 class TestModulate:
     def test_writes_csv(self, tmp_path, capsys):

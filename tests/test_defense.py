@@ -197,6 +197,19 @@ class TestDetectInjection:
         with pytest.raises(ValueError, match="threshold"):
             detect_injection(cs, threshold=1.0)
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_energy_floor_validated(self, floor):
+        cs = ChannelSet(noise_set(np.random.default_rng(19)), SR)
+        with pytest.raises(ValueError, match="energy_floor must be >= 0"):
+            detect_injection(cs, energy_floor=floor)
+
+    def test_frame_must_be_an_integer(self):
+        cs = ChannelSet(noise_set(np.random.default_rng(20)), SR)
+        with pytest.raises(ValueError, match="frame must be an integer"):
+            detect_injection(cs, frame=1024.5)
+        # numpy integers are integers
+        assert detect_injection(cs, frame=np.int64(1024)).status == defense.CLEAN
+
     def test_energy_floor_default(self):
         assert default_energy_floor(0.005) == pytest.approx(
             0.005 ** 2 * 10 ** 0.6)

@@ -89,6 +89,15 @@ class TestDeviceDataset:
             assert d.wake_word
             assert d.port_count >= 1
 
+    @pytest.mark.parametrize("field", ["min_power_mw", "port_diameter_m"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_rejected(self, field, bad):
+        good = lookup_device("Google Home")
+        with pytest.raises(ValueError,
+                           match=f"{field} must be positive and finite"):
+            replace(good, **{field: bad})
+
 
 class TestSuccessProbability:
     def test_midpoint_at_threshold(self):
@@ -117,6 +126,13 @@ class TestSuccessProbability:
     def test_negative_received_rejected(self):
         with pytest.raises(ValueError):
             success_probability(lookup_device("Google Home"), -0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_received_rejected(self, bad):
+        with pytest.raises(ValueError,
+                           match="received_mw must be >= 0 and finite"):
+            success_probability(lookup_device("Google Home"), bad)
 
 
 class TestCalibrateEdge:
@@ -380,6 +396,13 @@ class TestRecognitionEdge:
     def test_width_positive(self):
         with pytest.raises(ValueError):
             RecognitionEdge(0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_width_finite(self, bad):
+        with pytest.raises(ValueError,
+                           match="edge width must be positive and finite"):
+            RecognitionEdge(bad)
 
     def test_default_is_frozen_fit(self):
         assert DEFAULT_EDGE.width == pytest.approx(0.0197, abs=5e-4)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoninject.defense import _smooth_fft_len, pairwise_max_ncc
+from photoninject.defense import (_BLOCK_BYTES, LAG_WINDOW_S, ChannelSet,
+                                  _smooth_fft_len, channel_similarity,
+                                  detect_injection, pairwise_max_ncc)
 
 
 def zero_mean_frames(rng, n_ch=4, n_frames=6, frame_len=512):
@@ -37,9 +39,11 @@ def oracle_max_ncc(frames, max_lag):
 
 
 def reference_pairwise_max_ncc(frames, max_lag):
-    """The all-pairs-at-once kernel: every i < j pair's spectra, products and
-    correlations gathered by fancy indexing. Kept as the equivalence and
-    memory reference for the one-reference-channel-at-a-time kernel."""
+    """The all-pairs kernel over every frame at once: every i < j pair's
+    spectra, products and correlations gathered by fancy indexing, on
+    frames the caller has demeaned. Kept as the equivalence and memory
+    reference for the kernel in defense, which applies the same formula
+    to bounded blocks of frames."""
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     frames = np.ascontiguousarray(frames, dtype=np.float64)
@@ -124,6 +128,42 @@ def test_matches_all_pairs_reference(inputs):
                                rtol=0, atol=1e-12)
 
 
+@st.composite
+def recordings(draw):
+    """A ChannelSet and frame length whose frame count sits one below, at
+    or one above a multiple of the kernel's block size."""
+    n_ch = draw(st.integers(2, 8))
+    rate = draw(st.sampled_from([8000, 16000, 44100, 48000]))
+    frame = draw(st.sampled_from([256, 263, 1024]))
+    max_lag = min(round(rate * LAG_WINDOW_S), frame - 1)
+    n_pairs = n_ch * (n_ch - 1) // 2
+    nfft = _smooth_fft_len(frame + max_lag)
+    step = max(1, _BLOCK_BYTES // (n_pairs * nfft * 8))
+    blocks, offset = draw(st.integers(1, 2)), draw(st.integers(-1, 1))
+    n_frames = max(1, blocks * step + offset)
+    n = n_frames * frame + draw(st.integers(0, frame - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = rng.normal(0.0, 0.1, (n_ch, n))
+    # silent and constant channels demean to all-zero frames
+    for ch, level in draw(st.lists(st.tuples(st.integers(0, n_ch - 1),
+                                             st.sampled_from([0.0, 0.25])),
+                                   max_size=2)):
+        channels[ch] = level
+    return ChannelSet(channels, rate), frame, max_lag
+
+
+@settings(deadline=None, max_examples=40)
+@given(recordings())
+def test_similarity_matches_all_pairs_reference(inputs):
+    channel_set, frame, max_lag = inputs
+    n_ch, n = channel_set.channels.shape
+    framed = channel_set.channels[:, :n // frame * frame].reshape(
+        n_ch, -1, frame)
+    framed = framed - framed.mean(axis=2, keepdims=True)
+    expected = np.median(reference_pairwise_max_ncc(framed, max_lag), axis=2)
+    assert np.array_equal(channel_similarity(channel_set, frame), expected)
+
+
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -131,6 +171,20 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_ch, seconds", [(8, 2), (2, 8)])
+def test_detect_peak_memory_bounded_in_duration(n_ch, seconds):
+    # at 10x the duration, only the per-channel energy temporary may grow;
+    # the kernel's blocks are full at both lengths
+    rate = 16000
+    rng = np.random.default_rng(10)
+    short, long = (ChannelSet(rng.normal(0.0, 0.01, (n_ch, s * rate)), rate)
+                   for s in (seconds, 10 * seconds))
+    one_channel = long.channels[0].nbytes
+    growth = (traced_peak(detect_injection, long)
+              - traced_peak(detect_injection, short))
+    assert growth <= one_channel + _BLOCK_BYTES
 
 
 def test_peak_memory_below_all_pairs_reference():

@@ -152,6 +152,18 @@ class TestFormatRejection:
         with pytest.raises(FormatError, match="truncated"):
             wavio.load_wav(path)
 
+    @pytest.mark.parametrize("cid, shown", [(b"LIST", "LIST"),
+                                            (b"L\xffST", "L\ufffdST")])
+    def test_truncated_unknown_chunk_message(self, tmp_path, cid, shown):
+        # the chunk id is decoded with replacement for the message
+        path = tmp_path / "bad.wav"
+        path.write_bytes(_wav_bytes() + cid + struct.pack("<I", 100)
+                         + b"\x00" * 10)
+        with pytest.raises(FormatError) as err:
+            wavio.load_wav(path)
+        assert str(err.value) == (
+            f"{shown} chunk: truncated (declared 100 bytes, 10 present)")
+
     def test_missing_riff(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"JUNK" + _wav_bytes()[4:])
