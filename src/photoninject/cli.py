@@ -116,20 +116,23 @@ def cmd_modulate(args) -> int:
     from . import diode, wavio
     from . import profiles as profile_store
 
+    out = args.out
+    if not out.endswith((".csv", ".wav")):
+        raise ValueError(f"--out must end in .csv or .wav, got {out!r}")
+    if args.sidecar is not None and out.endswith(".csv"):
+        raise ValueError(f"--sidecar applies only to a .wav --out, "
+                         f"got --out {out!r}")
     audio = wavio.load_wav(args.infile)
     diode_profile = profile_store.get_diode(args.diode)
     op = diode.optimize_operating_point(diode_profile, args.budget_mw)
     drive = diode.modulate(diode_profile, op, audio)
-    out = args.out
     if out.endswith(".wav"):
         sidecar = args.sidecar or out[:-4] + ".params.csv"
         diode.save_drive_wav(drive, op, out, sidecar)
         print(f"wrote {out} and {sidecar}")
-    elif out.endswith(".csv"):
+    else:
         diode.save_drive_csv(drive, out)
         print(f"wrote {out}")
-    else:
-        raise ValueError(f"--out must end in .csv or .wav, got {out!r}")
     print(f"operating point: I_DC = {op.bias_ma:.3f} mA, "
           f"I_pp = {op.peak_to_peak_ma:.3f} mA")
     return EXIT_OK

@@ -93,6 +93,8 @@ def transduce(profile: MicProfile, light_at_port: LightWaveform,
     (sample_rate >= 2 * band_high). Output is bit-reproducible for a
     fixed rng_seed.
     """
+    if rng_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {rng_seed}")
     rate = light_at_port.sample_rate
     if rate < 2 * profile.band_high_hz:
         raise ValueError(

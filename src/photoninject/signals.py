@@ -65,6 +65,17 @@ class AudioSignal:
         return self.peak <= 1.0
 
 
+def _sample_count(duration: float, sample_rate: int) -> int:
+    """Samples in `duration` seconds, rejecting a count that rounds to 0."""
+    # chained comparisons with inf: NaN fails every one of them, and a
+    # product of 0.5 or less rounds to no sample at all
+    if not (0 < duration < math.inf
+            and 0.5 < duration * sample_rate < math.inf):
+        raise ValueError(f"duration must be positive, finite and at least one "
+                         f"sample long, got {duration} s at {sample_rate} Hz")
+    return round(duration * sample_rate)
+
+
 def generate_tone(frequency: float, duration: float, sample_rate: int,
                   amplitude: float = 1.0) -> AudioSignal:
     """Pure sine: samples[i] = amplitude * sin(2*pi*frequency*i/sample_rate).
@@ -74,11 +85,9 @@ def generate_tone(frequency: float, duration: float, sample_rate: int,
     if not 0.0 < frequency < sample_rate / 2:
         raise ValueError(
             f"frequency {frequency} Hz outside (0, Nyquist={sample_rate / 2}) Hz")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    n = _sample_count(duration, sample_rate)
     if not 0.0 < amplitude <= 1.0:
         raise ValueError(f"amplitude must be in (0, 1], got {amplitude}")
-    n = round(duration * sample_rate)
     t = np.arange(n) / sample_rate
     return AudioSignal(amplitude * np.sin(TWO_PI * frequency * t), sample_rate)
 
@@ -95,9 +104,7 @@ def generate_chirp(f_start: float, f_end: float, duration: float,
         if not 0.0 <= f < sample_rate / 2:
             raise ValueError(
                 f"{name} {f} Hz outside [0, Nyquist={sample_rate / 2}) Hz")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    n = round(duration * sample_rate)
+    n = _sample_count(duration, sample_rate)
     t = np.arange(n) / sample_rate
     rate = (f_end - f_start) / duration
     return AudioSignal(np.sin(TWO_PI * (f_start + 0.5 * rate * t) * t), sample_rate)
@@ -137,16 +144,16 @@ class Spectrogram:
     def to_csv(self, path) -> None:
         """Write `time_s,freq_hz,magnitude` rows with CRLF line ends.
 
-        Time and frequency labels are formatted once each; every time bin
-        is then written as one batch of lines, so memory stays at one row.
+        The frequency labels are formatted once into a template with one
+        `%.9g` per bin and a NUL where the time label goes. Each time bin
+        is then written by one `%` call, which formats its magnitudes in C
+        with the same digits as `format()`, so memory stays at one bin.
         """
-        times = [f"{t:.9f}," for t in self.times_s]
-        freqs = [f"{f:.3f}," for f in self.freqs_hz]
+        template = "".join(f"\0{f:.3f},%.9g\r\n" for f in self.freqs_hz.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("time_s,freq_hz,magnitude\r\n")
-            for t, row in zip(times, self.magnitudes):
-                fh.writelines([f"{t}{f}{m:.9g}\r\n"
-                               for f, m in zip(freqs, row.tolist())])
+            for t, row in zip(self.times_s.tolist(), self.magnitudes):
+                fh.write(template.replace("\0", f"{t:.9f},") % tuple(row.tolist()))
 
 
 def spectrogram(signal: AudioSignal, frame_length: int = 1024,

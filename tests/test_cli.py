@@ -306,11 +306,24 @@ class TestModulate:
         assert float(dict(sidecar[1:])["i_dc_ma"]) > 20.0
 
     def test_bad_extension_exits_2(self, tmp_path, capsys):
+        # checked before the input is read, so a missing input is not exit 3
+        code, _, err = run(["modulate", "--in", str(tmp_path / "missing.wav"),
+                            "--budget-mw", "5",
+                            "--out", str(tmp_path / "drive.txt")], capsys)
+        assert code == 2
+        assert "--out must end in .csv or .wav" in err
+
+    def test_sidecar_with_csv_out_exits_2(self, tmp_path, capsys):
         src = tmp_path / "cmd.wav"
         wavio.save_wav(generate_tone(1000, 0.01, SR, 0.8), src)
-        code, _, _ = run(["modulate", "--in", str(src), "--budget-mw", "5",
-                          "--out", str(tmp_path / "drive.txt")], capsys)
+        out, sidecar = tmp_path / "drive.csv", tmp_path / "side.csv"
+        code, text, err = run(["modulate", "--in", str(src), "--budget-mw", "5",
+                               "--out", str(out), "--sidecar", str(sidecar)],
+                              capsys)
         assert code == 2
+        assert text == ""
+        assert "--sidecar" in err and "--out" in err and str(out) in err
+        assert not out.exists() and not sidecar.exists()
 
     def test_excess_budget_exits_1(self, tmp_path, capsys):
         src = tmp_path / "cmd.wav"
@@ -330,6 +343,25 @@ class TestChirpTest:
         assert "chirp recovered" in text
         rows = csv_rows(out.read_text())
         assert rows[0] == ["time_s", "freq_hz", "magnitude"]
+
+    @pytest.mark.parametrize("duration", ["inf", "nan", "1e-9"])
+    def test_duration_without_a_sample_exits_2(self, tmp_path, capsys,
+                                               duration):
+        out = tmp_path / "sg.csv"
+        code, text, err = run(["chirp-test", "--duration", duration,
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert text == ""
+        assert f"got {float(duration)} s at 48000 Hz" in err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sg.csv"
+        code, text, err = run(["chirp-test", "--duration", "0.2", "--seed", "-1",
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 class TestUsage:

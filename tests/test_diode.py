@@ -322,6 +322,25 @@ def test_drive_csv_bytes_match_csv_writer(tmp_path_factory, currents,
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
+BLOCK = diode._DRIVE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("sample_rate", [7, 48000])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_drive_csv_bytes_match_csv_writer_across_blocks(tmp_path, n,
+                                                        sample_rate):
+    # lengths on both sides of one and two block edges; the edge currents
+    # (with -0.0 and the exact binary tie 0.0078125) recur throughout
+    currents = np.random.default_rng(n).uniform(0.0, 1e6, n)
+    edges = EDGE_CURRENTS + [-0.0, 0.0078125]
+    currents[::3] = np.resize(edges, currents[::3].size)
+    currents[-len(edges):] = edges
+    drive = DriveWaveform(currents, sample_rate)
+    diode.save_drive_csv(drive, tmp_path / "new.csv")
+    reference_drive_csv(drive, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @settings(deadline=None)
 @given(bias=st.floats(0.0, 1e4), swing=st.floats(0.0, 1e4),
        n=st.integers(0, 50),

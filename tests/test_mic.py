@@ -55,6 +55,10 @@ class TestTransduce:
         with pytest.raises(ValueError, match="sample rate"):
             transduce(quiet(), light, rng_seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            transduce(quiet(), tone_light(0.02), rng_seed=-1)
+
     def test_seeded_noise_reproducible(self):
         profile = MicProfile("n", 4.0, 20.0, 20000.0, 0.1, 0.005)
         a = transduce(profile, tone_light(0.02), rng_seed=42)

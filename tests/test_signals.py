@@ -70,6 +70,20 @@ class TestTone:
         with pytest.raises(ValueError, match="duration"):
             generate_tone(1000, 0.0, 48000)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"),
+                                          float("-inf"), 1e-9, 0.5 / 8000])
+    def test_duration_without_a_sample_rejected(self, duration):
+        # 0.5 / 8000 s is half a sample, which rounds to none
+        message = f"got {duration} s at 8000 Hz"
+        with pytest.raises(ValueError, match=message):
+            generate_tone(1000, duration, 8000)
+        with pytest.raises(ValueError, match=message):
+            generate_chirp(0, 1000, duration, 8000)
+
+    def test_shortest_duration_gives_one_sample(self):
+        assert len(generate_tone(1000, 0.6 / 8000, 8000)) == 1
+        assert len(generate_chirp(0, 1000, 0.6 / 8000, 8000)) == 1
+
     def test_deterministic(self):
         a = generate_tone(997.3, 0.25, 44100, 0.7)
         b = generate_tone(997.3, 0.25, 44100, 0.7)
@@ -203,7 +217,12 @@ def test_to_csv_bytes_match_csv_writer(tmp_path_factory, spec):
 
 
 def test_to_csv_bytes_match_csv_writer_on_a_chirp(tmp_path):
-    spec = spectrogram(generate_chirp(0, 10000, 0.5, 48000), 1024, 512)
+    # chirp-test's 2048-sample frames: 1025 bins per time bin
+    spec = spectrogram(generate_chirp(0, 10000, 1.0, 48000), 2048, 512)
+    mags = spec.magnitudes.copy()
+    mags[0, :len(EDGE_MAGNITUDES)] = EDGE_MAGNITUDES
+    mags[-1, -len(EDGE_MAGNITUDES):] = EDGE_MAGNITUDES
+    spec = Spectrogram(mags, 2048, 512, 48000)
     spec.to_csv(tmp_path / "new.csv")
     reference_spectrogram_csv(spec, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
