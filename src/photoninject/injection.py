@@ -15,9 +15,8 @@ word matched.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import diode as diode_mod
 from . import optics
@@ -47,6 +46,18 @@ class RecognitionEdge:
 DEFAULT_EDGE = RecognitionEdge(0.019724)
 
 
+def _check_integer(name: str, value) -> None:
+    # operator.index takes int and numpy integers but no float; bool is an
+    # int subclass, yet never a meaningful count or seed
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AttackScenario:
     """Everything needed to simulate one injection attempt series."""
@@ -68,6 +79,7 @@ class AttackScenario:
         if not math.isfinite(self.distance_m) or self.distance_m <= 0:
             raise ValueError(
                 f"distance_m must be positive and finite, got {self.distance_m}")
+        _check_integer("seed", self.rng_seed)
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
@@ -178,10 +190,14 @@ def simulate_attack(scenario: AttackScenario, trials: int,
     """Simulate `trials` independent injection attempts.
 
     Computes the budget-optimal operating point, pushes the average power
-    through the link at the scenario distance, evaluates the success
-    probability and draws seeded Bernoulli outcomes. Devices with speaker
-    authentication refuse everything unless the wake word matched.
+    through the link at the scenario distance and evaluates the success
+    probability. Devices with speaker authentication refuse everything
+    unless the wake word matched. Outcome k is `u_k < p` for the k-th
+    uniform u_k of `numpy.random.default_rng(scenario.rng_seed)`. When p
+    is exactly 0 or 1 no uniform can change an outcome, so none is drawn
+    and numpy is not imported; only 0 < p < 1 draws the trials.
     """
+    _check_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     op = diode_mod.optimize_operating_point(scenario.diode, scenario.budget_mw)
@@ -200,8 +216,15 @@ def simulate_attack(scenario: AttackScenario, trials: int,
                      "wake-word recording is available; forcing p = 0")
     else:
         p = success_probability(scenario.device, received, edge)
-    rng = np.random.default_rng(scenario.rng_seed)
-    outcomes = tuple((rng.random(trials) < p).tolist())
+    if p == 0.0 or p == 1.0:
+        # Generator.random() lies in [0, 1): every draw fails `< 0.0` and
+        # passes `< 1.0`, so the outcomes are known without drawing
+        outcomes = (p == 1.0,) * trials
+    else:
+        import numpy as np
+
+        rng = np.random.default_rng(scenario.rng_seed)
+        outcomes = tuple((rng.random(trials) < p).tolist())
     if scenario.device.note:
         notes.append(scenario.device.note)
     return AttackReport(

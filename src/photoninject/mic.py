@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diode import LightWaveform
-from .signals import AudioSignal
+from .signals import AudioSignal, _check_sample_rate
 
 # ambient office noise floor: 0.005 of full scale is -46 dBFS, mirroring
 # a ~46 dB(A) room against a 0 dBFS full-scale signal
@@ -63,6 +63,13 @@ def bandpass_fft(samples: np.ndarray, sample_rate: int, low_hz: float,
     Unity gain on [low_hz, high_hz]; the response falls to exactly zero at
     low_hz/2 and at min(2*high_hz, Nyquist). DC is always removed.
     """
+    _check_sample_rate(sample_rate)
+    # chained comparisons with inf: NaN fails every one of them
+    if not 0 < low_hz < math.inf:
+        raise ValueError(f"low_hz must be positive and finite, got {low_hz}")
+    if not low_hz < high_hz < math.inf:
+        raise ValueError(f"high_hz must be finite and above low_hz "
+                         f"({low_hz}), got {high_hz}")
     n = samples.size
     if n == 0:
         return samples.copy()

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .signals import AudioSignal
+from .signals import AudioSignal, _check_sample_rate
 
 PCM_FULL_SCALE = 32768.0
 
@@ -130,6 +130,13 @@ def save_wav(signal: AudioSignal, path) -> None:
 
 
 def save_wav_channels(channels: np.ndarray, sample_rate: int, path) -> None:
-    """Write an N-channel 16-bit PCM file from float rows in [-1, 1]."""
+    """Write an N-channel 16-bit PCM file from float rows in [-1, 1].
+
+    Values outside [-1, 1] clip to full scale; NaN and ±inf have no PCM
+    value and are rejected, as is a rate that is not a positive integer.
+    """
+    _check_sample_rate(sample_rate)
     channels = np.atleast_2d(np.asarray(channels, dtype=np.float64))
-    _write(path, quantize_pcm16(channels).T, sample_rate)
+    if not np.isfinite(channels).all():
+        raise ValueError("samples must all be finite")
+    _write(path, quantize_pcm16(channels).T, int(sample_rate))

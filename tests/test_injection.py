@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoninject import injection, optics
 from photoninject.devices import load_devices, lookup_device
@@ -252,6 +254,34 @@ class TestSimulateAttack:
         with pytest.raises(ValueError, match="trials"):
             simulate_attack(scenario_for("Google Home", 5.0, 1.0), 0)
 
+    @pytest.mark.parametrize("bad", [2.0, True, "3", None])
+    @pytest.mark.parametrize("budget", [5.0, 0.5])  # p = 1, 0 < p < 1
+    def test_non_integer_trials_rejected(self, bad, budget):
+        scenario = scenario_for("Google Home", budget, 0.3, ideal=True)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            simulate_attack(scenario, bad)
+
+    def test_numpy_integer_trials_and_seed_accepted(self):
+        scenario = scenario_for("Google Home", 0.5, 0.3, ideal=True, seed=7)
+        report = simulate_attack(scenario, 40)
+        assert 0 < report.success_probability < 1
+        assert simulate_attack(replace(scenario, rng_seed=np.int64(7)),
+                               np.int64(40)) == report
+
+    @pytest.mark.parametrize("scenario", [
+        scenario_for("Google Home", 5.0, 110.0),             # p = 1
+        scenario_for("Echo Spot", 1.0, 50.0),                # p = 0
+        scenario_for("iPhone XR (Front Mic)", 60.0, 0.3),    # gated: p = 0
+    ], ids=["success", "out-of-reach", "wake-word-gate"])
+    def test_certain_outcome_draws_nothing(self, scenario, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew trials whose outcome is certain")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        report = simulate_attack(scenario, 25)
+        p = report.success_probability
+        assert p in (0.0, 1.0)
+        assert report.trial_outcomes == (p == 1.0,) * 25
+
     def test_report_csv_rows(self):
         report = simulate_attack(scenario_for("Google Home", 5.0, 110.0), 3)
         fields = dict(report.csv_rows())
@@ -259,6 +289,50 @@ class TestSimulateAttack:
         assert fields["trials"] == "3"
         assert set(fields) >= {"received_mw", "spot_m", "i_dc_ma", "i_pp_ma",
                                "success_probability", "outcomes"}
+
+
+def reference_outcomes(seed, trials, p):
+    """Every trial drawn: the outcomes as they were before certain ones
+    stopped drawing. Kept as the oracle for simulate_attack."""
+    return tuple((np.random.default_rng(seed).random(trials) < p).tolist())
+
+
+@st.composite
+def attack_scenarios(draw):
+    """(scenario, expected class of p) over the three kinds of outcome."""
+    seed = draw(st.integers(0, 2**63))
+    kind = draw(st.sampled_from(["p0-gate", "p0-reach", "p1", "uncertain"]))
+    if kind == "p0-gate":
+        name = draw(st.sampled_from([d.name for d in load_devices()
+                                     if d.requires_auth]))
+        scenario = scenario_for(name, draw(st.floats(1.0, 60.0)),
+                                draw(st.floats(0.3, 5.0)), seed=seed)
+    elif kind == "p0-reach":
+        scenario = scenario_for("Echo Spot", draw(st.floats(0.5, 1.0)),
+                                draw(st.floats(50.0, 110.0)), seed=seed)
+    elif kind == "p1":
+        scenario = scenario_for("Google Home", draw(st.floats(5.0, 60.0)),
+                                draw(st.floats(0.5, 110.0)), seed=seed)
+    else:
+        # ideal optics at contact range deliver nearly the whole budget,
+        # so a budget within 3% of the threshold lands on the edge
+        device = draw(st.sampled_from(load_devices()))
+        scenario = scenario_for(
+            device.name, device.min_power_mw * draw(st.floats(0.97, 1.03)),
+            0.3, ideal=True, wake_word_matched=True, seed=seed)
+    return scenario, kind
+
+
+@settings(deadline=None, max_examples=200)
+@given(attack_scenarios(), st.integers(1, 2000))
+def test_outcomes_match_every_trial_drawn(drawn, trials):
+    scenario, kind = drawn
+    report = simulate_attack(scenario, trials)
+    p = report.success_probability
+    assert {"p0-gate": p == 0.0, "p0-reach": p == 0.0, "p1": p == 1.0,
+            "uncertain": 0.0 < p < 1.0}[kind], (kind, p)
+    assert report.trial_outcomes == reference_outcomes(scenario.rng_seed,
+                                                       trials, p)
 
 
 class TestConsecutiveCriterion:
@@ -390,6 +464,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             replace(good, rng_seed=-1)
         assert replace(good, rng_seed=0).rng_seed == 0
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, None, "3", True])
+    def test_non_integer_seed_rejected(self, bad):
+        good = scenario_for("Google Home", 5.0, 10.0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            replace(good, rng_seed=bad)
+        assert replace(good, rng_seed=np.int64(3)).rng_seed == 3
 
 
 class TestRecognitionEdge:

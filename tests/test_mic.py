@@ -94,6 +94,22 @@ class TestBandpass:
         out = bandpass_fft(x, 48000, 20.0, 20000.0)
         assert np.max(np.abs(out)) <= 1e-12
 
+    @pytest.mark.parametrize("rate, low, high, message", [
+        (48000, float("nan"), 8000.0, "low_hz must be positive and finite"),
+        (48000, -5.0, 8000.0, "low_hz must be positive and finite"),
+        (48000, 0.0, 8000.0, "low_hz must be positive and finite"),
+        (48000, float("inf"), 8000.0, "low_hz must be positive and finite"),
+        (48000, 2000.0, 1000.0, "high_hz must be finite and above low_hz"),
+        (48000, 2000.0, 2000.0, "high_hz must be finite and above low_hz"),
+        (48000, 100.0, float("nan"), "high_hz must be finite and above"),
+        (48000, 100.0, float("inf"), "high_hz must be finite and above"),
+        (0, 100.0, 8000.0, "sample_rate must be a positive integer"),
+        (-48000, 100.0, 8000.0, "sample_rate must be a positive integer"),
+    ])
+    def test_bad_band_or_rate_rejected(self, rate, low, high, message):
+        with pytest.raises(ValueError, match=message):
+            bandpass_fft(np.ones(64), rate, low, high)
+
     def test_flat_across_voice_band(self):
         # equal drives from 100 Hz to 10 kHz stay within a 3 dB window
         vpps = []

@@ -38,6 +38,11 @@ CASES = {
     "range": (
         ["range", "--device", "Google Home", "--budget-mw", "5"],
         "39610d4f74c0ef7078e4d8d1de561acf5966396b94401ad271748ebcf508515f"),
+    # p = 1 here, so simulate_attack draws no trial and imports no numpy
+    "plan": (
+        ["plan", "--device", "Google Home", "--budget-mw", "5",
+         "--distance-m", "110"],
+        "55c1e8b8b93dd3c0debf352f7c375183b13518a502b69701d1b57f66bed67ef8"),
     "bruteforce": (
         ["bruteforce", "--digits", "4", "--policy", "unlimited",
          "--secret", "1234"],

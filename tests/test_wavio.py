@@ -117,6 +117,28 @@ class TestRoundTrip:
         assert back.shape == (4, 300)
         assert np.max(np.abs(back - chans)) <= 1 / 32768
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, tmp_path, bad):
+        chans = np.zeros((2, 8))
+        chans[1, 3] = bad
+        path = tmp_path / "n.wav"
+        with pytest.raises(ValueError, match="samples must all be finite"):
+            wavio.save_wav_channels(chans, 48000, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [-8000, 0, 8000.5, float("nan"), None])
+    def test_bad_sample_rate_rejected(self, tmp_path, bad):
+        path = tmp_path / "r.wav"
+        with pytest.raises(ValueError,
+                           match="sample_rate must be a positive integer"):
+            wavio.save_wav_channels(np.zeros((1, 8)), bad, path)
+        assert not path.exists()
+
+    def test_integral_float_rate_written_as_integer(self, tmp_path):
+        path = tmp_path / "f.wav"
+        wavio.save_wav_channels(np.zeros((1, 8)), 8000.0, path)
+        assert wavio.load_wav_channels(path)[1] == 8000
+
     def test_stereo_downmix_averages(self, tmp_path):
         left = np.full(100, 0.5)
         right = np.full(100, -0.25)
