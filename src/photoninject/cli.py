@@ -41,46 +41,37 @@ def cmd_profiles(args) -> int:
     return EXIT_OK
 
 
+# scenario flag (argparse dest) -> the scenario-file key it sets
+_SCENARIO_FLAGS = {
+    "device": "device.name",
+    "diode": "diode.name",
+    "budget_mw": "budget_mw",
+    "distance_m": "distance_m",
+    "wake_word_matched": "wake_word_matched",
+    "trials": "trials",
+    "seed": "seed",
+}
+
+
 def _scenario_from_args(args):
-    """(scenario, trials) from --scenario and/or the flags."""
-    from . import devices, injection, optics
-    from . import profiles as profile_store
+    """(scenario, trials) from --scenario and the flags; a flag wins over
+    the file's value for its key."""
+    from . import injection
 
     if args.scenario:
-        scenario, trials = injection.load_scenario(args.scenario)
-        overrides = {}
-        if args.device:
-            overrides["device"] = devices.lookup_device(args.device)
-        if args.budget_mw is not None:
-            overrides["budget_mw"] = args.budget_mw
-        if args.distance_m is not None:
-            overrides["distance_m"] = args.distance_m
-        if args.seed is not None:
-            overrides["rng_seed"] = args.seed
-        if overrides:
-            from dataclasses import replace
-            scenario = replace(scenario, **overrides)
-        if args.trials is not None:
-            trials = args.trials
-        return scenario, trials
-    if not args.device or args.budget_mw is None or args.distance_m is None:
+        source = args.scenario
+        values, lines = injection.read_scenario_file(source)
+    elif not args.device or args.budget_mw is None or args.distance_m is None:
         raise ValueError("--device, --budget-mw and --distance-m are required "
                          "when no --scenario file is given")
-    device = devices.lookup_device(args.device)
-    diode_profile = profile_store.get_diode(args.diode)
-    path = optics.OpticalPath.default(args.distance_m,
-                                      diode_profile.wavelength_nm)
-    scenario = injection.AttackScenario(
-        device=device,
-        diode=diode_profile,
-        path=path,
-        aperture=optics.Aperture(device.port_diameter_m),
-        budget_mw=args.budget_mw,
-        distance_m=args.distance_m,
-        wake_word_matched=args.wake_word_matched,
-        rng_seed=args.seed if args.seed is not None else 0,
-    )
-    return scenario, args.trials if args.trials is not None else 10
+    else:
+        source, values, lines = None, {}, {}
+    for dest, key in _SCENARIO_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            values[key] = value
+            lines.pop(key, None)
+    return injection.build_scenario(values, source, lines)
 
 
 def cmd_plan(args) -> int:
@@ -141,12 +132,7 @@ def cmd_modulate(args) -> int:
 def cmd_simulate(args) -> int:
     from . import injection
 
-    scenario, trials = injection.load_scenario(args.scenario)
-    if args.trials is not None:
-        trials = args.trials
-    if args.seed is not None:
-        from dataclasses import replace
-        scenario = replace(scenario, rng_seed=args.seed)
+    scenario, trials = _scenario_from_args(args)
     report = injection.simulate_attack(scenario, trials)
     rows = [("device", scenario.device.name),
             ("distance_m", f"{scenario.distance_m:g}")] + report.csv_rows()
@@ -276,10 +262,9 @@ def _add_plan(sub) -> None:
     p.add_argument("--budget-mw", type=float)
     p.add_argument("--distance-m", type=float)
     p.add_argument("--scenario")
-    p.add_argument("--diode", default="blue-450")
-    p.add_argument("--wake-word-matched", action="store_true")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--diode")
+    # None when absent, so that a file's value stands
+    p.add_argument("--wake-word-matched", action="store_true", default=None)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_plan)
 

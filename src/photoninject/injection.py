@@ -58,6 +58,11 @@ def _check_integer(name: str, value) -> None:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AttackScenario:
     """Everything needed to simulate one injection attempt series."""
@@ -73,12 +78,8 @@ class AttackScenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.budget_mw) or self.budget_mw <= 0:
-            raise ValueError(
-                f"budget_mw must be positive and finite, got {self.budget_mw}")
-        if not math.isfinite(self.distance_m) or self.distance_m <= 0:
-            raise ValueError(
-                f"distance_m must be positive and finite, got {self.distance_m}")
+        _check_positive("budget_mw", self.budget_mw)
+        _check_positive("distance_m", self.distance_m)
         _check_integer("seed", self.rng_seed)
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
@@ -261,9 +262,20 @@ _SCENARIO_KEYS = {
     "aperture.port_diameter_m", "aperture.offset_m",
 }
 
+# constructor field -> scenario key
+_FIELD_KEYS = {key.rpartition(".")[2]: key for key in _SCENARIO_KEYS
+               if not key.endswith(".name")}
 
-def _parse_scenario_text(text: str, source: str) -> dict[str, str]:
-    values = {}
+
+def read_scenario_file(path) -> tuple[dict[str, str], dict[str, int]]:
+    """(key -> value text, key -> line number) of a flat key=value file.
+
+    A key given twice keeps its last value and line.
+    """
+    source = str(path)
+    with open(path) as fh:
+        text = fh.read()
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -275,79 +287,116 @@ def _parse_scenario_text(text: str, source: str) -> dict[str, str]:
         if key not in _SCENARIO_KEYS:
             raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
-    return values
+        lines[key] = lineno
+    return values, lines
 
 
 def load_scenario(path) -> tuple[AttackScenario, int]:
     """Parse a flat key=value scenario file; returns (scenario, trials)."""
+    values, lines = read_scenario_file(path)
+    return build_scenario(values, str(path), lines)
+
+
+def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
+    """(scenario, trials) from a mapping of scenario-file keys to values.
+
+    A value is either text, which is parsed, or already typed (a float,
+    an int, a bool), which is used as is. Keys left unset take their
+    defaults after every value is in, so the derived ones follow what was
+    set: the focus follows `distance_m` unless `path.focus_distance_m` is
+    set, the wavelength follows the diode unless `path.wavelength_nm` is,
+    and the port diameter follows the device unless
+    `aperture.port_diameter_m` is.
+
+    `source` names the file the values were read from, or is None when
+    there is none. A bad value at a key that `lines` places in that file
+    raises FormatError naming `source:line`; a bad value at any other key
+    raises ValueError.
+    """
     from . import profiles as profile_store
 
-    source = str(path)
-    with open(path) as fh:
-        values = _parse_scenario_text(fh.read(), source)
+    def error(key, message):
+        if key in lines:
+            return FormatError(f"{source}:{lines[key]}: {message}")
+        return ValueError(message)
 
     for required in ("device.name", "budget_mw", "distance_m"):
         if required not in values:
-            raise FormatError(f"{source}: missing required key {required!r}")
+            message = f"missing required key {required!r}"
+            if source is None:
+                raise ValueError(message)
+            raise FormatError(f"{source}: {message}")
 
-    def fnum(key: str, default=None) -> float:
+    def number(key: str, default=None) -> float:
         if key not in values:
             return default
+        value = values[key]
+        if not isinstance(value, str):
+            return value
         try:
-            value = float(values[key])
+            parsed = float(value)
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise FormatError(f"{source}: bad number for {key}: "
-                              f"{values[key]!r}")
-        return value
+            parsed = math.nan
+        if not math.isfinite(parsed):
+            raise error(key, f"bad number for {key}: {value!r}")
+        return parsed
 
-    def inum(key: str, default: int) -> int:
+    def integer(key: str, default: int) -> int:
         if key not in values:
             return default
+        value = values[key]
+        if not isinstance(value, str):
+            return value
         try:
-            return int(values[key])
+            return int(value)
         except ValueError:
-            raise FormatError(f"{source}: bad integer for {key}: "
-                              f"{values[key]!r}") from None
+            raise error(key, f"bad integer for {key}: {value!r}") from None
 
     device = lookup_device(values["device.name"])
     diode = profile_store.get_diode(values.get("diode.name", "blue-450"))
-    distance = fnum("distance_m")
-    seed = inum("seed", 0)
-    trials = inum("trials", 10)
-    if trials < 1:
-        raise FormatError(f"{source}: trials must be >= 1")
-    # a value the constructors reject is a fault in the file
+    distance = number("distance_m")
+    seed = integer("seed", 0)
+    trials = integer("trials", 10)
+    wake = values.get("wake_word_matched", False)
+    if isinstance(wake, str):
+        try:
+            wake = profile_store._parse_bool(wake, "wake_word_matched")
+        except FormatError:
+            raise error("wake_word_matched", f"bad boolean {wake!r}") from None
     try:
-        path_obj = OpticalPath(
-            lens_diameter_m=fnum("path.lens_diameter_m",
-                                 optics.DEFAULT_LENS_DIAMETER_M),
-            focus_distance_m=fnum("path.focus_distance_m", distance),
-            wavelength_nm=fnum("path.wavelength_nm", diode.wavelength_nm),
-            pointing_jitter_m=fnum("path.pointing_jitter_m", 0.0),
-            window_transmission=fnum("path.window_transmission", 1.0),
-            mesh_transmission=fnum("path.mesh_transmission",
-                                   optics.DEFAULT_MESH_TRANSMISSION),
-            incidence_angle_deg=fnum("path.incidence_angle_deg", 0.0),
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        # checked before the focus follows it
+        _check_positive("distance_m", distance)
+        path = OpticalPath(
+            lens_diameter_m=number("path.lens_diameter_m",
+                                   optics.DEFAULT_LENS_DIAMETER_M),
+            focus_distance_m=number("path.focus_distance_m", distance),
+            wavelength_nm=number("path.wavelength_nm", diode.wavelength_nm),
+            pointing_jitter_m=number("path.pointing_jitter_m", 0.0),
+            window_transmission=number("path.window_transmission", 1.0),
+            mesh_transmission=number("path.mesh_transmission",
+                                     optics.DEFAULT_MESH_TRANSMISSION),
+            incidence_angle_deg=number("path.incidence_angle_deg", 0.0),
         )
         aperture = Aperture(
-            port_diameter_m=fnum("aperture.port_diameter_m",
-                                 device.port_diameter_m),
-            offset_m=fnum("aperture.offset_m", 0.0),
+            port_diameter_m=number("aperture.port_diameter_m",
+                                   device.port_diameter_m),
+            offset_m=number("aperture.offset_m", 0.0),
         )
         scenario = AttackScenario(
             device=device,
             diode=diode,
-            path=path_obj,
+            path=path,
             aperture=aperture,
-            budget_mw=fnum("budget_mw"),
+            budget_mw=number("budget_mw"),
             distance_m=distance,
             command_text=values.get("command_text", ""),
-            wake_word_matched=profile_store._parse_bool(
-                values.get("wake_word_matched", "false"), source),
+            wake_word_matched=wake,
             rng_seed=seed,
         )
     except ValueError as exc:
-        raise FormatError(f"{source}: {exc}") from None
+        # the constructors' messages start with the field they reject
+        raise error(_FIELD_KEYS.get(str(exc).partition(" ")[0]),
+                    str(exc)) from None
     return scenario, trials

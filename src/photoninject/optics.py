@@ -205,14 +205,3 @@ def attenuate(light, path: OpticalPath, aperture: Aperture, distance_m: float):
     factor = received_power(path, aperture, distance_m, mean) / mean
     return LightWaveform(light.powers_mw * factor, light.sample_rate)
 
-
-def link_budget_rows(path: OpticalPath, aperture: Aperture, distances_m,
-                     emitted_avg_mw: float, track_focus: bool = True):
-    """`distance_m,spot_m,capture_fraction,received_mw` rows for reporting."""
-    rows = []
-    for d in distances_m:
-        p = path.focused_at(d) if track_focus else path
-        spot = spot_diameter(p, d)
-        frac = capture_fraction(spot, aperture)
-        rows.append((d, spot, frac, received_power(p, aperture, d, emitted_avg_mw)))
-    return rows

@@ -111,10 +111,15 @@ def load_wav(path) -> AudioSignal:
 
 def _write(path, frames_i16: np.ndarray, sample_rate: int) -> None:
     n_channels = frames_i16.shape[1]
-    payload = frames_i16.astype("<i2").tobytes()
     block_align = 2 * n_channels
-    fmt = struct.pack("<HHIIHH", 1, n_channels, sample_rate,
-                      sample_rate * block_align, block_align, 16)
+    byte_rate = sample_rate * block_align
+    # the fmt chunk stores the rate and the byte rate as unsigned 32-bit
+    if byte_rate > 0xFFFFFFFF:
+        raise ValueError(f"sample_rate {sample_rate} does not fit a WAV "
+                         f"header: its byte rate {byte_rate} exceeds 2**32 - 1")
+    payload = frames_i16.astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, n_channels, sample_rate, byte_rate,
+                      block_align, 16)
     with open(path, "wb") as fh:
         fh.write(b"RIFF")
         fh.write(struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(payload)))

@@ -3,9 +3,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import synth_command
-from photoninject import authsim, cli, profiles, wavio
+from photoninject import authsim, cli, devices, profiles, wavio
 from photoninject.signals import generate_tone
 
 SR = 48000
@@ -74,12 +76,131 @@ class TestPlan:
         code, _, err = run(["plan", "--device", "Google Home"], capsys)
         assert code == 2
 
-    def test_negative_seed_exits_2(self, scenario_file, capsys):
+    def test_trials_and_seed_are_usage_errors(self, scenario_file, capsys):
+        # plan runs one trial and prints no outcome: it takes neither flag
         for extra in (["--device", "Google Home", "--budget-mw", "5",
                        "--distance-m", "10"], ["--scenario", scenario_file]):
-            code, out, err = run(["plan", *extra, "--seed", "-1"], capsys)
-            assert (code, out) == (2, "")
-            assert err == "error: seed must be >= 0, got -1\n"
+            for flag in (["--seed", "1"], ["--trials", "0"]):
+                code, out, err = run(["plan", *extra, *flag], capsys)
+                assert (code, out) == (2, "")
+                assert err.endswith(
+                    f"error: unrecognized arguments: {' '.join(flag)}\n")
+
+    def test_bad_distance_names_distance_m(self, capsys):
+        code, out, err = run(["plan", "--device", "Google Home",
+                              "--budget-mw", "5", "--distance-m", "-3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: distance_m must be positive and finite, got -3.0\n"
+
+    def test_bad_distance_in_file_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "d.txt"
+        path.write_text("device.name = Google Home\nbudget_mw = 5\n"
+                        "distance_m = -3\n")
+        code, out, err = run(["plan", "--scenario", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {path}:3: distance_m must be positive and "
+                       f"finite, got -3.0\n")
+
+
+def plan_output(argv, capsys):
+    return run(["plan", *argv, "--format", "csv"], capsys)
+
+
+def write_scenario(path, device, budget, distance, *, diode=None,
+                   wake=None, extra=""):
+    lines = [f"device.name = {device}", f"budget_mw = {budget!r}",
+             f"distance_m = {distance!r}"]
+    if diode is not None:
+        lines.append(f"diode.name = {diode}")
+    if wake is not None:
+        lines.append(f"wake_word_matched = {'true' if wake else 'false'}")
+    path.write_text("\n".join(lines) + "\n" + extra)
+    return str(path)
+
+
+class TestPlanScenarioOverrides:
+    """A flag given with --scenario sets the file key it maps to, and the
+    values derived from that key follow it as they do for the flags alone."""
+
+    MINI = ["--device", "Google Home Mini", "--budget-mw", "60"]
+
+    @pytest.fixture
+    def mini_file(self, tmp_path):
+        return write_scenario(tmp_path / "f.txt", "Google Home Mini", 60.0, 20.0)
+
+    def test_distance_refocuses(self, mini_file, capsys):
+        got = plan_output(["--scenario", mini_file, "--distance-m", "25"], capsys)
+        want = plan_output([*self.MINI, "--distance-m", "25"], capsys)
+        assert got == want
+        fields = dict(csv_rows(got[1])[1:])
+        assert fields["received_mw"] == "16.2323748"
+        assert fields["success_probability"] == "0.675033"
+
+    def test_device_rederives_the_aperture(self, mini_file, capsys):
+        got = plan_output(["--scenario", mini_file, "--device", "Google Home"],
+                          capsys)
+        want = plan_output(["--device", "Google Home", "--budget-mw", "60",
+                            "--distance-m", "20"], capsys)
+        assert got == want
+        assert dict(csv_rows(got[1])[1:])["capture_fraction"] == "1"
+
+    def test_diode_sets_the_wavelength(self, mini_file, capsys):
+        got = plan_output(["--scenario", mini_file, "--diode", "red-638"], capsys)
+        want = plan_output([*self.MINI, "--distance-m", "20",
+                            "--diode", "red-638"], capsys)
+        assert got == want
+        assert dict(csv_rows(got[1])[1:])["diode"] == "red-638"
+
+    def test_wake_word_flag_opens_the_gate(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "a.txt", "iPhone XR (Front Mic)",
+                              60.0, 5.0)
+        got = plan_output(["--scenario", path, "--wake-word-matched"], capsys)
+        want = plan_output(["--device", "iPhone XR (Front Mic)", "--budget-mw",
+                            "60", "--distance-m", "5", "--wake-word-matched"],
+                           capsys)
+        assert got == want
+        assert dict(csv_rows(got[1])[1:])["success_probability"] == "1.000000"
+
+    def test_set_focus_is_kept(self, tmp_path, capsys):
+        path = write_scenario(tmp_path / "f.txt", "Google Home Mini", 60.0,
+                              20.0, extra="path.focus_distance_m = 20\n")
+        got = plan_output(["--scenario", path, "--distance-m", "25"], capsys)
+        assert dict(csv_rows(got[1])[1:])["received_mw"] == "0.00357760952"
+
+
+DEVICES = [d.name for d in devices.load_devices()]
+DIODES = sorted(p.name for p in profiles.load_diodes().values())
+
+plan_values = st.fixed_dictionaries({
+    "device": st.sampled_from(DEVICES),
+    "diode": st.sampled_from(DIODES),
+    "budget": st.floats(0.05, 200.0),
+    "distance": st.floats(0.05, 500.0),
+    "wake": st.booleans(),
+})
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plan_values, plan_values)
+def test_plan_flags_match_scenario_files(tmp_path, capsys, want, other):
+    flags = ["--device", want["device"], "--diode", want["diode"],
+             "--budget-mw", repr(want["budget"]),
+             "--distance-m", repr(want["distance"])]
+    if want["wake"]:
+        flags.append("--wake-word-matched")
+    expected = plan_output(flags, capsys)
+    same = write_scenario(tmp_path / "same.txt", want["device"],
+                          want["budget"], want["distance"],
+                          diode=want["diode"], wake=want["wake"])
+    assert plan_output(["--scenario", same], capsys) == expected
+    # a file holding other values, each overridden by a flag; the flag
+    # can only set the wake word, so the file leaves it unmatched
+    overridden = write_scenario(tmp_path / "other.txt", other["device"],
+                                other["budget"], other["distance"],
+                                diode=other["diode"], wake=False,
+                                extra="trials = 3\nseed = 9\n")
+    assert plan_output(["--scenario", overridden, *flags], capsys) == expected
 
 
 class TestSimulate:
@@ -124,7 +245,8 @@ class TestSimulate:
         code, out, err = run(["simulate", "--scenario", scenario_file], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith(f"error: {scenario_file}: ")
+        # the appended line is the file's sixth
+        assert err.startswith(f"error: {scenario_file}:6: ")
 
 
 class TestProfileColumns:

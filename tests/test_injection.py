@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from photoninject import injection, optics
 from photoninject.devices import load_devices, lookup_device
 from photoninject.errors import DeviceNotFoundError, FitError, FormatError
 from photoninject.injection import (DEFAULT_EDGE, AttackScenario,
-                                    RecognitionEdge, calibrate_edge,
+                                    RecognitionEdge, build_scenario,
+                                    calibrate_edge,
                                     consecutive_success_criterion,
                                     load_scenario, simulate_attack,
                                     success_probability)
@@ -370,6 +372,8 @@ wake_word_matched = false
 trials = 10
 seed = 7
 """
+    # line number of a line appended to GOOD
+    APPENDED = len(GOOD.splitlines()) + 1
 
     def test_parse_full_file(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -426,7 +430,8 @@ seed = 7
                                                         message):
         path = tmp_path / "s.txt"
         path.write_text(self.GOOD + line + "\n")
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:"
+                                              f"{self.APPENDED}: {message}"):
             load_scenario(path)
 
     @pytest.mark.parametrize("line, message", [
@@ -439,15 +444,76 @@ seed = 7
     def test_out_of_range_values_name_the_file(self, tmp_path, line, message):
         path = tmp_path / "s.txt"
         path.write_text(self.GOOD + line + "\n")
-        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
-                                              f".*{message}"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:"
+                                              f"{self.APPENDED}: .*{message}"):
             load_scenario(path)
+
+    def test_bad_distance_names_distance_m(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("device.name = Google Home\nbudget_mw = 5\n"
+                        "distance_m = -3\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:3: distance_m must be positive and finite, got -3.0")):
+            load_scenario(path)
+
+    def test_bad_boolean_names_its_line(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text(self.GOOD + "wake_word_matched = maybe\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:{self.APPENDED}: bad boolean 'maybe'")):
+            load_scenario(path)
+
+    def test_readme_block_names_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Scenario files", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.txt"
+        path.write_text(block)
+        scenario, trials = load_scenario(path)
+        assert set(injection.read_scenario_file(path)[0]) == \
+            injection._SCENARIO_KEYS
+        assert (scenario.device.name, trials) == ("Google Home", 10)
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("just some words\n")
         with pytest.raises(FormatError, match="key = value"):
             load_scenario(path)
+
+
+class TestBuildScenario:
+    def test_typed_values_match_the_file(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("device.name = Google Home Mini\nbudget_mw = 60\n"
+                        "distance_m = 20\nwake_word_matched = true\n"
+                        "seed = 4\n")
+        typed = build_scenario({"device.name": "Google Home Mini",
+                                "budget_mw": 60.0, "distance_m": 20.0,
+                                "wake_word_matched": True, "seed": 4},
+                               None, {})
+        assert repr(typed) == repr(load_scenario(path))
+
+    def test_derived_values_follow_their_keys(self):
+        scenario, _ = build_scenario({"device.name": "Google Home",
+                                      "diode.name": "red-638",
+                                      "budget_mw": 5.0, "distance_m": 30.0},
+                                     None, {})
+        assert scenario.path.focus_distance_m == 30.0
+        assert scenario.path.wavelength_nm == get_diode("red-638").wavelength_nm
+        assert scenario.aperture.port_diameter_m == \
+            lookup_device("Google Home").port_diameter_m
+
+    def test_value_outside_the_file_raises_value_error(self):
+        # a value no file line holds has no line to name
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            build_scenario({"device.name": "Google Home", "budget_mw": 5.0,
+                            "distance_m": 3.0, "seed": -1}, "s.txt",
+                           {"device.name": 1})
+
+    def test_missing_key_without_a_file(self):
+        with pytest.raises(ValueError, match="missing required key 'budget_mw'"):
+            build_scenario({"device.name": "Google Home", "distance_m": 3.0},
+                           None, {})
 
 
 class TestScenarioValidation:

@@ -9,8 +9,7 @@ from photoninject import optics
 from photoninject.diode import LightWaveform
 from photoninject.optics import (Aperture, OpticalPath, attenuate,
                                  capture_fraction, disk_overlap_area,
-                                 link_budget_rows, max_range, received_power,
-                                 spot_diameter)
+                                 max_range, received_power, spot_diameter)
 
 
 def ideal(focus, **kw):
@@ -197,14 +196,6 @@ class TestHelpers:
         out = attenuate(light, path, Aperture(spot * 2), 10.0)
         np.testing.assert_allclose(out.powers_mw, 0.5 * light.powers_mw)
         assert out.sample_rate == 48000
-
-    def test_link_budget_rows(self):
-        rows = link_budget_rows(OpticalPath.default(1.0), Aperture(0.001),
-                                [10.0, 50.0], 5.0)
-        assert len(rows) == 2
-        d, spot, frac, received = rows[0]
-        assert d == 10.0
-        assert received == pytest.approx(5.0 * frac * 0.9, rel=1e-9)
 
     def test_beam_visibility(self):
         assert ideal(1.0, wavelength_nm=450.0).beam_visible

@@ -134,6 +134,18 @@ class TestRoundTrip:
             wavio.save_wav_channels(np.zeros((1, 8)), bad, path)
         assert not path.exists()
 
+    def test_rate_beyond_the_header_fields_rejected(self, tmp_path):
+        path = tmp_path / "big.wav"
+        # 2**31 Hz fits the rate field, but not its 16-bit byte rate
+        with pytest.raises(ValueError, match="sample_rate 2147483648 does not "
+                                             "fit a WAV header"):
+            wavio.save_wav_channels(np.zeros((1, 8)), 2**31, path)
+        with pytest.raises(ValueError, match="sample_rate 4294967296 "):
+            wavio.save_wav(AudioSignal(np.zeros(8), 2**32), path)
+        assert not path.exists()
+        wavio.save_wav_channels(np.zeros((1, 8)), 2**31 - 1, path)
+        assert wavio.load_wav_channels(path)[1] == 2**31 - 1
+
     def test_integral_float_rate_written_as_integer(self, tmp_path):
         path = tmp_path / "f.wav"
         wavio.save_wav_channels(np.zeros((1, 8)), 8000.0, path)
