@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mic
-from .signals import AudioSignal, _check_sample_rate
+from .errors import _check_integer, _check_sample_rate
+from .signals import AudioSignal
 from .wavio import load_wav_channels
 
 DEFAULT_THRESHOLD = 0.5
@@ -126,6 +127,7 @@ def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     0 where either frame is constant, diagonal exactly 1. Frames go through
     in blocks whose correlations fit in _BLOCK_BYTES, which bounds memory.
     """
+    _check_integer("max_lag", max_lag)
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     frames = np.asarray(frames, dtype=np.float64)

@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError
+from .errors import BudgetError, _check_sample_rate
 
 # absorbs float dust when validating operating points against profiles (mA)
 CURRENT_ATOL_MA = 1e-9
 
-# rows of drive CSV formatted per `%` call; larger blocks save little time
-# and hold more Python floats at once
+# rows of drive CSV turned into text at once: about 0.25 MiB of
+# temporaries in `_decimal`, so peak memory stays put
 _DRIVE_BLOCK_ROWS = 2048
 
 
@@ -94,8 +94,6 @@ class OperatingPoint:
 def _checked_samples(values, sample_rate, what: str) -> np.ndarray:
     """`values` as float64 after checking them and `sample_rate`."""
     import numpy as np
-
-    from .signals import _check_sample_rate
 
     _check_sample_rate(sample_rate)
     arr = np.asarray(values, dtype=np.float64)
@@ -214,21 +212,22 @@ def emitted_light(profile: DiodeProfile, drive: DriveWaveform) -> LightWaveform:
 def save_drive_csv(drive: DriveWaveform, path) -> None:
     """Write `time_s,current_ma` rows (time to 9 dp, current to 6 dp).
 
-    Rows are formatted a block at a time: one `%` call turns a block's
-    interleaved (time, current) floats into its text in C, with the same
-    float-to-string routine, and so the same digits, as `format()`.
+    `_decimal` turns a block of rows into text at once, with the same
+    digits as `%` and `format()`.
     """
     import numpy as np
 
+    from . import _decimal
+
     currents = drive.currents_ma
-    with open(path, "w", newline="") as fh:
-        fh.write("time_s,current_ma\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"time_s,current_ma\r\n")
         for start in range(0, currents.size, _DRIVE_BLOCK_ROWS):
             block = currents[start:start + _DRIVE_BLOCK_ROWS]
             # arange / rate is bit-identical to i / rate for every i < 2**53
             times = np.arange(start, start + block.size) / drive.sample_rate
-            values = np.column_stack((times, block)).ravel().tolist()
-            fh.write(("%.9f,%.6f\r\n" * block.size) % tuple(values))
+            fh.write(_decimal.rows(_decimal.fixed(times, 9), b",",
+                                   _decimal.fixed(block, 6), b"\r\n"))
 
 
 def save_drive_wav(drive: DriveWaveform, op: OperatingPoint, path,

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types and argument checks shared across the toolkit.
+
+The checks are plain Python, so that the planners can use them without
+loading numpy.
+"""
+
+import operator
 
 
 class PhotonInjectError(Exception):
@@ -27,3 +33,24 @@ class DeviceNotFoundError(PhotonInjectError, LookupError):
         if self.suggestions:
             hint = "; closest matches: " + ", ".join(self.suggestions)
         super().__init__(f"unknown device {name!r}{hint}")
+
+
+def _check_integer(name: str, value) -> None:
+    # operator.index takes int and numpy integers but no float; bool is an
+    # int subclass, yet never a meaningful count or seed
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_sample_rate(rate) -> None:
+    try:
+        ok = rate > 0 and int(rate) == rate
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"sample_rate must be a positive integer, got {rate}")

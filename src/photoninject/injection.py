@@ -15,14 +15,13 @@ word matched.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import diode as diode_mod
 from . import optics
 from .devices import DeviceProfile, lookup_device
 from .diode import DiodeProfile, OperatingPoint
-from .errors import FitError, FormatError
+from .errors import FitError, FormatError, _check_integer
 from .optics import Aperture, OpticalPath
 
 P_CLAMP_LOW = 0.01
@@ -44,18 +43,6 @@ class RecognitionEdge:
 # 0.975 / 0.675 / 0.0 at 20 / 25 / 27 m, 60 mW budget, default optics);
 # see calibrate_edge. Frozen here as the shipping default.
 DEFAULT_EDGE = RecognitionEdge(0.019724)
-
-
-def _check_integer(name: str, value) -> None:
-    # operator.index takes int and numpy integers but no float; bool is an
-    # int subclass, yet never a meaningful count or seed
-    if not isinstance(value, bool):
-        try:
-            operator.index(value)
-            return
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_positive(name: str, value: float) -> None:

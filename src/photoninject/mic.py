@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diode import LightWaveform
-from .signals import AudioSignal, _check_sample_rate
+from .errors import _check_integer, _check_sample_rate
+from .signals import AudioSignal
 
 # ambient office noise floor: 0.005 of full scale is -46 dBFS, mirroring
 # a ~46 dB(A) room against a 0 dBFS full-scale signal
@@ -100,6 +101,7 @@ def transduce(profile: MicProfile, light_at_port: LightWaveform,
     (sample_rate >= 2 * band_high). Output is bit-reproducible for a
     fixed rng_seed.
     """
+    _check_integer("seed", rng_seed)
     if rng_seed < 0:
         raise ValueError(f"seed must be >= 0, got {rng_seed}")
     rate = light_at_port.sample_rate

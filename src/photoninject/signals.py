@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_integer, _check_sample_rate
+
 TWO_PI = 2.0 * math.pi
+# rows of spectrogram CSV turned into text at once, in whole time bins:
+# about 0.5 MiB of temporaries in `_decimal`, so peak memory stays put
+_CSV_BLOCK_ROWS = 4096
 
 
 def _as_readonly_f64(values) -> np.ndarray:
@@ -23,15 +28,6 @@ def _as_readonly_f64(values) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
-
-
-def _check_sample_rate(rate) -> None:
-    try:
-        ok = rate > 0 and int(rate) == rate
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"sample_rate must be a positive integer, got {rate}")
 
 
 @dataclass(frozen=True)
@@ -144,21 +140,31 @@ class Spectrogram:
     def to_csv(self, path) -> None:
         """Write `time_s,freq_hz,magnitude` rows with CRLF line ends.
 
-        The frequency labels are formatted once into a template with one
-        `%.9g` per bin and a NUL where the time label goes. Each time bin
-        is then written by one `%` call, which formats its magnitudes in C
-        with the same digits as `format()`, so memory stays at one bin.
+        The times are written to 9 dp, the frequencies to 3 dp and the
+        magnitudes to 9 significant digits, with the same digits as `%`
+        and `format()`. `_decimal` turns whole blocks of floats into text
+        at once: each time and frequency label once, then the magnitudes a
+        block of time bins at a time, so memory stays near one block.
         """
-        template = "".join(f"\0{f:.3f},%.9g\r\n" for f in self.freqs_hz.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("time_s,freq_hz,magnitude\r\n")
-            for t, row in zip(self.times_s.tolist(), self.magnitudes):
-                fh.write(template.replace("\0", f"{t:.9f},") % tuple(row.tolist()))
+        from . import _decimal
+
+        times = _decimal.fixed(self.times_s, 9)[:, None]
+        freqs = _decimal.fixed(self.freqs_hz, 3)
+        step = max(1, _CSV_BLOCK_ROWS // self.freqs_hz.size)
+        with open(path, "wb") as fh:
+            fh.write(b"time_s,freq_hz,magnitude\r\n")
+            for start in range(0, self.times_s.size, step):
+                mags = self.magnitudes[start:start + step]
+                values = _decimal.general9(mags).reshape(mags.shape + (-1,))
+                fh.write(_decimal.rows(times[start:start + step], b",",
+                                       freqs, b",", values, b"\r\n"))
 
 
 def spectrogram(signal: AudioSignal, frame_length: int = 1024,
                 hop: int = 512) -> Spectrogram:
     """Hann-windowed magnitude STFT with power-of-two frames."""
+    _check_integer("frame_length", frame_length)
+    _check_integer("hop", hop)
     if frame_length < 16 or frame_length & (frame_length - 1):
         raise ValueError(
             f"frame_length must be a power of two >= 16, got {frame_length}")

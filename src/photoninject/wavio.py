@@ -13,8 +13,8 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
-from .signals import AudioSignal, _check_sample_rate
+from .errors import FormatError, _check_sample_rate
+from .signals import AudioSignal
 
 PCM_FULL_SCALE = 32768.0
 

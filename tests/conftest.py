@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from photoninject import profiles
+
+# `pytest --hypothesis-profile=ci` draws 2000 examples per property
+# instead of 100; CI runs the CSV formatter oracles with it
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

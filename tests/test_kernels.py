@@ -243,3 +243,12 @@ class TestKernelSemantics:
         frames = zero_mean_frames(np.random.default_rng(8))
         with pytest.raises(ValueError):
             pairwise_max_ncc(frames, -1)
+
+    @pytest.mark.parametrize("max_lag", [2.5, 3.0, True, None])
+    def test_non_integer_lag_rejected(self, max_lag):
+        # checked before the FFT length search, which never ends on a
+        # non-integer length
+        frames = zero_mean_frames(np.random.default_rng(8))
+        with pytest.raises(ValueError,
+                           match=rf"^max_lag must be an integer, got {max_lag!r}$"):
+            pairwise_max_ncc(frames, max_lag)

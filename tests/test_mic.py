@@ -59,6 +59,18 @@ class TestTransduce:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             transduce(quiet(), tone_light(0.02), rng_seed=-1)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, None, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError,
+                           match=rf"^seed must be an integer, got {seed!r}$"):
+            transduce(quiet(), tone_light(0.02), rng_seed=seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        profile = MicProfile("n", 4.0, 20.0, 20000.0, 0.1, 0.005)
+        a = transduce(profile, tone_light(0.02), rng_seed=np.int64(42))
+        b = transduce(profile, tone_light(0.02), rng_seed=42)
+        np.testing.assert_array_equal(a.samples, b.samples)
+
     def test_seeded_noise_reproducible(self):
         profile = MicProfile("n", 4.0, 20.0, 20000.0, 0.1, 0.005)
         a = transduce(profile, tone_light(0.02), rng_seed=42)

@@ -159,6 +159,14 @@ class TestSpectrogram:
         with pytest.raises(ValueError, match="hop"):
             spectrogram(sig, 1024, 2048)
 
+    @pytest.mark.parametrize("name, frame_length, hop", [
+        ("frame_length", 256.0, 128), ("frame_length", True, 1),
+        ("hop", 256, 2.5), ("hop", 256, 128.0), ("hop", 256, None)])
+    def test_non_integer_frame_or_hop_rejected(self, name, frame_length, hop):
+        sig = generate_tone(1000, 0.1, 48000)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            spectrogram(sig, frame_length, hop)
+
     def test_non_finite_magnitudes_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Spectrogram(np.full((2, 513), np.nan), 1024, 512, 48000)
