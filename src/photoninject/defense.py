@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mic
 from .errors import _check_integer, _check_sample_rate
-from .signals import AudioSignal
+from .signals import AudioSignal, _smooth_fft_len
 from .wavio import load_wav_channels
 
 DEFAULT_THRESHOLD = 0.5
@@ -104,19 +104,6 @@ class Verdict:
                 for ch in range(self.energies.size)]
 
 
-def _smooth_fft_len(n: int) -> int:
-    """Smallest 2*3*5-smooth length >= n (at least 1): a fast FFT size."""
-    n = max(n, 1)
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
 def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """Per-frame maximum normalized cross-correlation of every channel pair.
 
@@ -125,7 +112,9 @@ def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     zero-padded cross-correlation of frame f of channels i and j over the
     product of their norms: (n_ch, n_ch, n_frames), symmetric, in [-1, 1],
     0 where either frame is constant, diagonal exactly 1. Frames go through
-    in blocks whose correlations fit in _BLOCK_BYTES, which bounds memory.
+    in blocks sized so that every pair's correlations would fit in
+    _BLOCK_BYTES, which bounds memory; within a block each channel is
+    correlated with every later one in one batch.
     """
     _check_integer("max_lag", max_lag)
     if max_lag < 0:
@@ -134,22 +123,27 @@ def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     n_ch, n_frames, frame_len = frames.shape
     # nfft >= frame_len + max_lag: no lag in the window wraps around
     nfft = _smooth_fft_len(frame_len + max_lag)
-    i, j = np.triu_indices(n_ch, k=1)
-    step = max(1, _BLOCK_BYTES // (max(i.size, 1) * nfft * 8))
-    lags = np.arange(-max_lag, max_lag + 1)  # negative lags wrap to the end
+    n_pairs = n_ch * (n_ch - 1) // 2
+    step = max(1, _BLOCK_BYTES // (max(n_pairs, 1) * nfft * 8))
     out = np.ones((n_ch, n_ch, n_frames))
     for f in range(0, n_frames, step):
         block = frames[:, f:f + step]
         block = block - block.mean(axis=-1, keepdims=True)
         spectra = np.fft.rfft(block, nfft, axis=-1)
         norms = np.linalg.norm(block, axis=-1)
-        # cc[p, f, l] = sum_t block[i[p], f, t] * block[j[p], f, t + l]
-        cc = np.fft.irfft(np.conj(spectra[i]) * spectra[j], nfft, axis=-1)
-        best = cc[..., lags].max(axis=-1)
-        denom = norms[i] * norms[j]
-        pair = np.divide(best, denom, out=np.zeros_like(best), where=denom > 0)
-        out[i, j, f:f + step] = pair
-        out[j, i, f:f + step] = pair
+        # one reference channel a against every later channel b at once:
+        # cc[b - a - 1, f, l] = sum_t block[a, f, t] * block[b, f, t + l]
+        for a in range(n_ch - 1):
+            cc = np.fft.irfft(np.conj(spectra[a]) * spectra[a + 1:], nfft,
+                              axis=-1)
+            best = cc[..., :max_lag + 1].max(axis=-1)
+            if max_lag > 0:  # negative lags wrap to the end
+                best = np.maximum(best, cc[..., nfft - max_lag:].max(axis=-1))
+            denom = norms[a] * norms[a + 1:]
+            pair = np.divide(best, denom, out=np.zeros_like(best),
+                             where=denom > 0)
+            out[a, a + 1:, f:f + step] = pair
+            out[a + 1:, a, f:f + step] = pair
     return out
 
 

@@ -122,7 +122,9 @@ def disk_overlap_area(r1: float, r2: float, center_distance: float) -> float:
     a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2 * d * r1))))
     a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2 * d * r2))))
     k = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(k, 0.0))
+    # near tangency the three terms cancel, and rounding can leave the
+    # difference slightly below zero
+    return max(0.0, r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(k, 0.0)))
 
 
 def capture_fraction(spot_diameter_m: float, aperture: Aperture) -> float:

@@ -61,6 +61,19 @@ class AudioSignal:
         return self.peak <= 1.0
 
 
+def _smooth_fft_len(n: int) -> int:
+    """Smallest 2*3*5-smooth length >= n (at least 1): a fast FFT size."""
+    n = max(n, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _sample_count(duration: float, sample_rate: int) -> int:
     """Samples in `duration` seconds, rejecting a count that rounds to 0."""
     # chained comparisons with inf: NaN fails every one of them, and a
@@ -118,6 +131,11 @@ class Spectrogram:
     freqs_hz: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_sample_rate(self.sample_rate)
+        _check_integer("frame_length", self.frame_length)
+        _check_integer("hop", self.hop)
+        if not 0 < self.hop <= self.frame_length:
+            raise ValueError(f"hop must be in (0, frame_length], got {self.hop}")
         mags = np.asarray(self.magnitudes, dtype=np.float64)
         if mags.ndim != 2 or mags.shape[1] != self.frame_length // 2 + 1:
             raise ValueError("magnitudes must be (time bins, frame_length/2 + 1)")

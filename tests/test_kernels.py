@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photoninject.defense import (_BLOCK_BYTES, LAG_WINDOW_S, ChannelSet,
-                                  _smooth_fft_len, channel_similarity,
-                                  detect_injection, pairwise_max_ncc)
+                                  channel_similarity, detect_injection,
+                                  pairwise_max_ncc)
+from photoninject.signals import _smooth_fft_len
 
 
 def zero_mean_frames(rng, n_ch=4, n_frames=6, frame_len=512):

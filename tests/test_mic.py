@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import thd_ratio
 from photoninject import mic, optics, profiles, signals
@@ -17,6 +22,63 @@ def quiet(saturation=10.0, band=(20.0, 20000.0)):
 def tone_light(amp_mw, freq=1000.0, duration=0.2, rate=48000, dc=5.0):
     tone = generate_tone(freq, duration, rate, 1.0)
     return LightWaveform(dc + amp_mw * tone.samples, rate)
+
+
+def reference_bandpass(samples, sample_rate, low_hz, high_hz):
+    """The band-pass as two length-n transforms at every length, without
+    input checks: the oracle for both of bandpass_fft's routes."""
+    n = samples.size
+    if n == 0:
+        return samples.copy()
+    spec = np.fft.rfft(samples)
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    mask = np.ones_like(freqs)
+
+    lo_stop = low_hz / 2
+    rising = (freqs > lo_stop) & (freqs < low_hz)
+    mask[freqs <= lo_stop] = 0.0
+    mask[rising] = 0.5 - 0.5 * np.cos(
+        np.pi * (freqs[rising] - lo_stop) / (low_hz - lo_stop))
+
+    hi_stop = min(2 * high_hz, sample_rate / 2)
+    if hi_stop > high_hz:
+        falling = (freqs > high_hz) & (freqs < hi_stop)
+        mask[freqs >= hi_stop] = 0.0
+        mask[falling] = 0.5 + 0.5 * np.cos(
+            np.pi * (freqs[falling] - high_hz) / (hi_stop - high_hz))
+    return np.fft.irfft(spec * mask, n)
+
+
+def largest_prime_factor(n):
+    p, largest = 2, 1
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            largest = p
+        p += 1
+    return max(largest, n)
+
+
+PRIMES = [p for p in range(2, 5001) if largest_prime_factor(p) == p]
+BANDPASS_LENGTHS = st.one_of(
+    st.integers(1, 5000),
+    st.sampled_from(PRIMES),
+    st.sampled_from([2 * p for p in PRIMES if 2 * p <= 5000]),
+    st.sampled_from([p * q for p in PRIMES if p > 700
+                     for q in range(3, 8) if p * q <= 5000]),
+    st.sampled_from([n for n in range(1, 5001)
+                     if largest_prime_factor(n) <= 5]))
+
+
+@st.composite
+def bandpass_inputs(draw):
+    n = draw(BANDPASS_LENGTHS)
+    rate = draw(st.integers(1000, 192000))
+    low = draw(st.floats(1.0, rate / 4))
+    high = draw(st.floats(low, rate, exclude_min=True))
+    scale = draw(st.sampled_from([1e-6, 1.0, 0.4, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return scale * rng.normal(size=n), rate, low, high
 
 
 class TestTransduce:
@@ -86,6 +148,40 @@ class TestTransduce:
         assert np.std(out.samples) == pytest.approx(0.01, rel=0.02)
 
 
+@settings(deadline=None)
+@given(bandpass_inputs())
+def test_bandpass_routes_match_reference(inputs):
+    x, rate, low, high = inputs
+    n = x.size
+    expected = reference_bandpass(x, rate, low, high)
+    out = bandpass_fft(x, rate, low, high)
+    convolved = mic._has_prime_factor_above(n, 700)
+    assert convolved == (largest_prime_factor(n) > 700)
+    if convolved:
+        tolerance = 1e-12 * max(1.0, np.max(np.abs(x)))
+        assert np.max(np.abs(out - expected)) <= tolerance
+    else:
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n, convolved", [
+    (36001, False),   # 7 * 37 * 139
+    (24001, True),    # prime
+    (48001, True),    # 23 * 2087
+    (48017, True),    # prime
+    (72001, True),    # 89 * 809
+])
+def test_bandpass_route_pinned(n, convolved):
+    assert mic._has_prime_factor_above(n, 700) is convolved
+    x = np.random.default_rng(n).normal(size=n)
+    out = bandpass_fft(x, 48000, 20.0, 20000.0)
+    expected = reference_bandpass(x, 48000, 20.0, 20000.0)
+    if convolved:
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(out, expected)
+
+
 class TestBandpass:
     def test_passband_is_flat(self):
         tone = generate_tone(1000, 0.5, 48000, 1.0)
@@ -121,6 +217,26 @@ class TestBandpass:
     def test_bad_band_or_rate_rejected(self, rate, low, high, message):
         with pytest.raises(ValueError, match=message):
             bandpass_fft(np.ones(64), rate, low, high)
+
+    @pytest.mark.parametrize("shape", [(2, 64), (64, 1), ()])
+    def test_not_one_dimensional_rejected(self, shape):
+        with pytest.raises(ValueError,
+                           match=rf"^samples must be 1-D, got shape "
+                                 rf"{re.escape(str(shape))}$"):
+            bandpass_fft(np.ones(shape), 48000, 100.0, 8000.0)
+
+    def test_array_like_accepted(self):
+        x = np.random.default_rng(2).normal(size=64)
+        assert np.array_equal(bandpass_fft(x.tolist(), 48000, 100.0, 8000.0),
+                              bandpass_fft(x, 48000, 100.0, 8000.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        x = np.ones(64)
+        x[17] = bad
+        with pytest.raises(ValueError, match="^samples must all be finite$"):
+            bandpass_fft(x, 48000, 100.0, 8000.0)
 
     def test_flat_across_voice_band(self):
         # equal drives from 100 Hz to 10 kHz stay within a 3 dB window

@@ -176,6 +176,26 @@ class TestSpectrogram:
             with pytest.raises(ValueError, match="finite"):
                 Spectrogram(mags, 16, 8, 48000)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("frame_length, hop, rate, message", [
+        (16, 0, 16, r"^hop must be in \(0, frame_length\], got 0$"),
+        (16, -8, 16, r"^hop must be in \(0, frame_length\], got -8$"),
+        (16, 17, 16, r"^hop must be in \(0, frame_length\], got 17$"),
+        (16, 2.5, 16, r"^hop must be an integer, got 2.5$"),
+        (16, True, 16, r"^hop must be an integer, got True$"),
+        (16.0, 8, 16, r"^frame_length must be an integer, got 16.0$"),
+        (16, 8, 0, "^sample_rate must be a positive integer"),
+        (16, 8, -48000, "^sample_rate must be a positive integer"),
+        (16, 8, 2.5, "^sample_rate must be a positive integer"),
+        (16, 8, float("nan"), "^sample_rate must be a positive integer"),
+    ])
+    def test_direct_construction_checks_fields(self, frame_length, hop, rate,
+                                               message):
+        # the checks spectrogram() applies, so no infinite or negative
+        # times and frequencies reach ridge_hz or to_csv
+        with pytest.raises(ValueError, match=message):
+            Spectrogram(np.ones((2, 9)), frame_length, hop, rate)
+
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="shorter than one"):
             spectrogram(AudioSignal(np.zeros(100), 48000), 1024, 512)
