@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import _check_integer
+
 UNLIMITED = "unlimited"
 MAX_ATTEMPTS = "max_attempts"
 DELAY_AFTER = "delay_after"
@@ -30,11 +32,14 @@ class LockPolicy:
     def __post_init__(self):
         if self.kind not in (UNLIMITED, MAX_ATTEMPTS, DELAY_AFTER):
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        _check_integer("attempt_limit", self.attempt_limit)
         if self.kind in (MAX_ATTEMPTS, DELAY_AFTER) and self.attempt_limit < 1:
             raise ValueError("attempt_limit must be >= 1")
         if self.kind == DELAY_AFTER and not 0 <= self.delay_s < math.inf:
             raise ValueError(f"delay_s must be >= 0 and finite, got {self.delay_s}")
         lo, hi = self.pin_length_range
+        _check_integer("pin_length_range lower bound", lo)
+        _check_integer("pin_length_range upper bound", hi)
         if not 1 <= lo <= hi:
             raise ValueError(f"bad pin_length_range {self.pin_length_range}")
 
@@ -75,6 +80,7 @@ class ExpectedTime:
 
 
 def _check_walk(policy: LockPolicy, digits: int, per_attempt_s: float) -> None:
+    _check_integer("digits", digits)
     lo, hi = policy.pin_length_range
     if not lo <= digits <= hi:
         raise ValueError(

@@ -8,9 +8,10 @@ analysis, 2 usage error, 3 I/O or format error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
-from .errors import BudgetError, DeviceNotFoundError, FormatError
+from .errors import BudgetError, FormatError, ProfileNotFoundError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -20,9 +21,10 @@ EXIT_IO = 3
 
 def _emit(rows, header, fmt):
     if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+        # sys.stdout is read per call, so that a redirection is honoured
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows
                   else len(str(h)) for i, h in enumerate(header)]
@@ -168,14 +170,19 @@ def _parse_policy(spec: str):
     """The LockPolicy a --policy value names."""
     from . import authsim
 
-    parts = spec.split(":")
-    kind = parts[0].replace("_", "-")
-    if kind == "unlimited" and len(parts) == 1:
+    kind, *params = spec.split(":")
+    kind = kind.replace("_", "-")
+    try:
+        # N is a count, SECONDS a float
+        numbers = [*map(int, params[:1]), *map(float, params[1:])]
+    except ValueError:
+        kind = None  # not a policy: the usage message below
+    if kind == "unlimited" and not numbers:
         return authsim.LockPolicy.unlimited()
-    if kind == "max-attempts" and len(parts) == 2:
-        return authsim.LockPolicy.max_attempts(int(parts[1]))
-    if kind == "delay-after" and len(parts) == 3:
-        return authsim.LockPolicy.delay_after(int(parts[1]), float(parts[2]))
+    if kind == "max-attempts" and len(numbers) == 1:
+        return authsim.LockPolicy.max_attempts(*numbers)
+    if kind == "delay-after" and len(numbers) == 2:
+        return authsim.LockPolicy.delay_after(*numbers)
     raise ValueError(
         f"bad policy {spec!r}; use unlimited, max-attempts:N or delay-after:N:SECONDS")
 
@@ -392,7 +399,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DeviceNotFoundError, ValueError) as exc:
+    except (ProfileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

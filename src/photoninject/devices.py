@@ -6,8 +6,7 @@ import math
 from dataclasses import dataclass
 
 from . import profiles
-from .profiles import _build, _field, _number, _parse_bool
-from .errors import DeviceNotFoundError
+from .profiles import _column
 
 
 @dataclass(frozen=True)
@@ -33,37 +32,28 @@ class DeviceProfile:
             raise ValueError("port_count must be >= 1")
 
 
-def _build_devices(rows) -> list[DeviceProfile]:
+def _device(row: dict) -> DeviceProfile:
     fn = "devices.csv"
-    return [_build(
-        DeviceProfile, fn, line,
-        name=_field(row, "name", fn),
-        backend=_field(row, "backend", fn),
-        category=_field(row, "category", fn),
-        requires_auth=_parse_bool(_field(row, "requires_auth", fn),
-                                  f"{fn}:{line}"),
-        min_power_mw=_number(row, "min_power_mw", fn, line),
-        port_diameter_m=_number(row, "port_diameter_m", fn, line),
-        port_count=_number(row, "port_count", fn, line, kind=int),
-        wake_word=_field(row, "wake_word", fn),
+    return DeviceProfile(
+        name=_column(row, "name", fn),
+        backend=_column(row, "backend", fn),
+        category=_column(row, "category", fn),
+        requires_auth=_column(row, "requires_auth", fn, bool),
+        min_power_mw=_column(row, "min_power_mw", fn, float),
+        port_diameter_m=_column(row, "port_diameter_m", fn, float),
+        port_count=_column(row, "port_count", fn, int),
+        wake_word=_column(row, "wake_word", fn),
         note=(row.get("note") or "").strip(),
-    ) for line, row in rows]
+    )
 
 
 def load_devices() -> list[DeviceProfile]:
     """The embedded dataset, in file order."""
-    return list(profiles._table("devices.csv", _build_devices))
+    return list(profiles._table("devices.csv", _device).values())
 
 
 def lookup_device(name: str) -> DeviceProfile:
-    """Exact, case-insensitive name match against the embedded dataset."""
-    devices = load_devices()
-    wanted = name.strip().lower()
-    for device in devices:
-        if device.name.lower() == wanted:
-            return device
-    import difflib  # only a miss pays for it
-
-    suggestions = difflib.get_close_matches(
-        name, [d.name for d in devices], n=3, cutoff=0.3)
-    raise DeviceNotFoundError(name, suggestions)
+    """Name match against the embedded dataset, ignoring case and
+    surrounding blanks."""
+    return profiles._lookup(profiles._table("devices.csv", _device), name,
+                            "device")

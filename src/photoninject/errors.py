@@ -23,16 +23,21 @@ class FitError(PhotonInjectError, ValueError):
     """A calibration fit has no usable solution."""
 
 
-class DeviceNotFoundError(PhotonInjectError, LookupError):
-    """Unknown device name, with nearest-match suggestions."""
+class ProfileNotFoundError(PhotonInjectError, LookupError):
+    """Unknown device, diode or microphone name, with nearest-match
+    suggestions; `kind` says which table was searched."""
 
-    def __init__(self, name: str, suggestions=()):
+    def __init__(self, kind: str, name: str, suggestions=()):
+        self.kind = kind
         self.name = name
         self.suggestions = list(suggestions)
         hint = ""
         if self.suggestions:
             hint = "; closest matches: " + ", ".join(self.suggestions)
-        super().__init__(f"unknown device {name!r}{hint}")
+        super().__init__(f"unknown {kind} {name!r}{hint}")
+
+
+DeviceNotFoundError = ProfileNotFoundError
 
 
 def _check_integer(name: str, value) -> None:

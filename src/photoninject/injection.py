@@ -21,7 +21,8 @@ from . import diode as diode_mod
 from . import optics
 from .devices import DeviceProfile, lookup_device
 from .diode import DiodeProfile, OperatingPoint
-from .errors import FitError, FormatError, _check_integer
+from .errors import (FitError, FormatError, ProfileNotFoundError,
+                     _check_integer)
 from .optics import Aperture, OpticalPath
 
 P_CLAMP_LOW = 0.01
@@ -298,7 +299,9 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
     `source` names the file the values were read from, or is None when
     there is none. A bad value at a key that `lines` places in that file
     raises FormatError naming `source:line`; a bad value at any other key
-    raises ValueError.
+    raises ValueError. A device or diode name that is not in its table
+    raises ProfileNotFoundError, or FormatError naming `source:line` when
+    the file holds the name.
     """
     from . import profiles as profile_store
 
@@ -314,69 +317,54 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
                 raise ValueError(message)
             raise FormatError(f"{source}: {message}")
 
-    def number(key: str, default=None) -> float:
-        if key not in values:
-            return default
-        value = values[key]
-        if not isinstance(value, str):
+    def get(key: str, default=None, kind=float):
+        value = values.get(key, default)
+        if not isinstance(value, str):  # typed, a flag's value or a default
             return value
         try:
-            parsed = float(value)
-        except ValueError:
-            parsed = math.nan
-        if not math.isfinite(parsed):
-            raise error(key, f"bad number for {key}: {value!r}")
-        return parsed
+            return profile_store._parse_value(value, kind, key)
+        except ValueError as exc:
+            raise error(key, str(exc)) from None
 
-    def integer(key: str, default: int) -> int:
-        if key not in values:
-            return default
-        value = values[key]
-        if not isinstance(value, str):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise error(key, f"bad integer for {key}: {value!r}") from None
-
-    device = lookup_device(values["device.name"])
-    diode = profile_store.get_diode(values.get("diode.name", "blue-450"))
-    distance = number("distance_m")
-    seed = integer("seed", 0)
-    trials = integer("trials", 10)
-    wake = values.get("wake_word_matched", False)
-    if isinstance(wake, str):
-        try:
-            wake = profile_store._parse_bool(wake, "wake_word_matched")
-        except FormatError:
-            raise error("wake_word_matched", f"bad boolean {wake!r}") from None
+    try:
+        device = lookup_device(values["device.name"])
+        diode = profile_store.get_diode(values.get("diode.name", "blue-450"))
+    except ProfileNotFoundError as exc:
+        key = exc.kind + ".name"
+        if key not in lines:
+            raise
+        raise error(key, str(exc)) from None
+    distance = get("distance_m")
+    seed = get("seed", 0, int)
+    trials = get("trials", 10, int)
+    wake = get("wake_word_matched", False, bool)
     try:
         if trials < 1:
             raise ValueError("trials must be >= 1")
         # checked before the focus follows it
         _check_positive("distance_m", distance)
         path = OpticalPath(
-            lens_diameter_m=number("path.lens_diameter_m",
-                                   optics.DEFAULT_LENS_DIAMETER_M),
-            focus_distance_m=number("path.focus_distance_m", distance),
-            wavelength_nm=number("path.wavelength_nm", diode.wavelength_nm),
-            pointing_jitter_m=number("path.pointing_jitter_m", 0.0),
-            window_transmission=number("path.window_transmission", 1.0),
-            mesh_transmission=number("path.mesh_transmission",
-                                     optics.DEFAULT_MESH_TRANSMISSION),
-            incidence_angle_deg=number("path.incidence_angle_deg", 0.0),
+            lens_diameter_m=get("path.lens_diameter_m",
+                                optics.DEFAULT_LENS_DIAMETER_M),
+            focus_distance_m=get("path.focus_distance_m", distance),
+            wavelength_nm=get("path.wavelength_nm", diode.wavelength_nm),
+            pointing_jitter_m=get("path.pointing_jitter_m", 0.0),
+            window_transmission=get("path.window_transmission", 1.0),
+            mesh_transmission=get("path.mesh_transmission",
+                                  optics.DEFAULT_MESH_TRANSMISSION),
+            incidence_angle_deg=get("path.incidence_angle_deg", 0.0),
         )
         aperture = Aperture(
-            port_diameter_m=number("aperture.port_diameter_m",
-                                   device.port_diameter_m),
-            offset_m=number("aperture.offset_m", 0.0),
+            port_diameter_m=get("aperture.port_diameter_m",
+                                device.port_diameter_m),
+            offset_m=get("aperture.offset_m", 0.0),
         )
         scenario = AttackScenario(
             device=device,
             diode=diode,
             path=path,
             aperture=aperture,
-            budget_mw=number("budget_mw"),
+            budget_mw=get("budget_mw"),
             distance_m=distance,
             command_text=values.get("command_text", ""),
             wake_word_matched=wake,

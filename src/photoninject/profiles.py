@@ -5,13 +5,16 @@ variable PHOTONINJECT_PROFILE_DIR points the loaders at a directory with
 replacement files of the same names. Lines starting with '#' are
 comments.
 
-A packaged table is read and parsed once per process. A replacement file
-is read on every load but parsed only when its text differs from the
-text last parsed for that file name, so an edited or redirected file is
-always picked up. Loaders hand out copies of the parsed table; the
-profiles themselves are frozen. The profile classes are imported by the
-table that builds them, so listing devices loads neither the diode model
-nor the microphone's waveform code (and numpy).
+A table is a dict from the lower-cased profile name to the profile, in
+file order. One cache, keyed by file name, holds each table with the
+text it was built from, or None for a packaged file: a packaged table is
+read once per process, a replacement file on every load but parsed again
+only when its text changes. `_lookup` reads a cached table without
+copying it; the `load_*` functions hand out copies of the frozen
+profiles. `_parse_value` parses table columns and scenario-file values
+alike. The profile classes are imported by the table that builds them,
+so listing devices loads neither the diode model nor the microphone's
+waveform code (and numpy).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import csv
 import math
 import os
 
-from .errors import FormatError
+from .errors import FormatError, ProfileNotFoundError
 
 PROFILE_DIR_ENV = "PHOTONINJECT_PROFILE_DIR"
 
@@ -28,8 +31,8 @@ PROFILE_DIR_ENV = "PHOTONINJECT_PROFILE_DIR"
 # (with pathlib and zipfile) would dominate a cold start
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-_packaged: dict[str, object] = {}      # file name -> built table
-_replaced: dict[str, tuple] = {}       # file name -> (text, built table)
+# file name -> (text read, or None for the packaged file; built table)
+_cache: dict[str, tuple[str | None, dict]] = {}
 
 
 def _read_text(filename: str) -> str:
@@ -56,124 +59,119 @@ def _parse_rows(text: str, filename: str) -> list[tuple[int, dict]]:
         raise FormatError(f"{filename}: {exc}") from exc
 
 
-def _table(filename: str, build):
-    """`build(rows)` of the table: a packaged file is built once per
-    process, a replacement file again whenever its text changes."""
-    if not os.environ.get(PROFILE_DIR_ENV):
-        built = _packaged.get(filename)
-        if built is None:
-            built = build(_parse_rows(_read_text(filename), filename))
-            _packaged[filename] = built
-        return built
-    text = _read_text(filename)
-    entry = _replaced.get(filename)
+def _table(filename: str, make) -> dict:
+    """{lower-cased name: make(row)} of the table, in file order, from the
+    cache unless a replacement file's text has changed. A ValueError from
+    `make` is reported at `file:line`."""
+    text = _read_text(filename) if os.environ.get(PROFILE_DIR_ENV) else None
+    entry = _cache.get(filename)
     if entry is None or entry[0] != text:
-        entry = (text, build(_parse_rows(text, filename)))
-        _replaced[filename] = entry
+        rows = _parse_rows(_read_text(filename) if text is None else text,
+                           filename)
+        table = {}
+        for line, row in rows:
+            try:
+                profile = make(row)
+            except ValueError as exc:
+                raise FormatError(f"{filename}:{line}: {exc}") from None
+            key = profile.name.lower()
+            if key in table:
+                raise FormatError(f"{filename}:{line}: duplicate name "
+                                  f"{profile.name!r}")
+            table[key] = profile
+        entry = _cache[filename] = (text, table)
     return entry[1]
 
 
-def _field(row: dict, key: str, filename: str) -> str:
+def _lookup(table: dict, name: str, kind: str):
+    """The profile called `name` in `table`, ignoring case and surrounding
+    blanks; a miss raises ProfileNotFoundError naming the `kind`."""
+    profile = table.get(name.strip().lower())
+    if profile is None:
+        import difflib  # only a miss pays for it
+
+        raise ProfileNotFoundError(kind, name, difflib.get_close_matches(
+            name, [p.name for p in table.values()], n=3, cutoff=0.3))
+    return profile
+
+
+# yes/no spellings a boolean value may take
+_BOOLEANS = {"yes": True, "true": True, "1": True,
+             "no": False, "false": False, "0": False}
+
+
+def _parse_value(text: str, kind, what: str):
+    """`text` as a finite float, an int or a yes/no bool, as `kind` says.
+
+    A bad value raises ValueError naming `what`, the column or key; the
+    caller knows the file and line to report it at.
+    """
+    value = text.strip()
+    try:
+        parsed = _BOOLEANS[value.lower()] if kind is bool else kind(value)
+        # a comparison, not math.isfinite, which overflows on a huge int
+        if -math.inf < parsed < math.inf:
+            return parsed
+    except (KeyError, ValueError):
+        pass
+    if kind is bool:
+        raise ValueError(f"bad boolean {value!r} for {what}")
+    word = "integer" if kind is int else "number"
+    raise ValueError(f"bad {word} for {what}: {value!r}")
+
+
+def _column(row: dict, key: str, filename: str, kind=str):
+    """Column `key` of a row: its stripped text, or that text parsed as
+    `kind`."""
     value = row.get(key)
     if value is None:
         raise FormatError(f"{filename}: missing column {key!r}")
-    return value.strip()
+    if kind is str:
+        return value.strip()
+    return _parse_value(value, kind, f"column {key!r}")
 
 
-def _number(row: dict, key: str, filename: str, line: int, kind=float):
-    """Column `key` as a finite `kind` (float or int)."""
-    value = _field(row, key, filename)
-    try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except (ValueError, OverflowError):
-        pass
-    raise FormatError(f"{filename}:{line}: bad number for column "
-                      f"{key!r}: {value!r}")
-
-
-def _parse_bool(text: str, where: str) -> bool:
-    """A yes/no value from a table or scenario file, which `where` names."""
-    v = text.strip().lower()
-    if v in ("yes", "true", "1"):
-        return True
-    if v in ("no", "false", "0"):
-        return False
-    raise FormatError(f"{where}: bad boolean {text!r}")
-
-
-def _build(profile_cls, filename: str, line: int, **fields):
-    """`profile_cls(**fields)`, its ValueError reported at `file:line`."""
-    try:
-        return profile_cls(**fields)
-    except ValueError as exc:
-        raise FormatError(f"{filename}:{line}: {exc}") from None
-
-
-def _build_diodes(rows) -> dict[str, DiodeProfile]:
+def _diode(row: dict) -> DiodeProfile:
     from .diode import DiodeProfile
 
     fn = "diodes.csv"
-    out = {}
-    for line, row in rows:
-        profile = _build(
-            DiodeProfile, fn, line,
-            name=_field(row, "name", fn),
-            threshold_ma=_number(row, "i_th_ma", fn, line),
-            slope_mw_per_ma=_number(row, "slope_mw_per_ma", fn, line),
-            max_current_ma=_number(row, "i_max_ma", fn, line),
-            wavelength_nm=_number(row, "wavelength_nm", fn, line),
-        )
-        out[profile.name.lower()] = profile
-    return out
+    return DiodeProfile(
+        name=_column(row, "name", fn),
+        threshold_ma=_column(row, "i_th_ma", fn, float),
+        slope_mw_per_ma=_column(row, "slope_mw_per_ma", fn, float),
+        max_current_ma=_column(row, "i_max_ma", fn, float),
+        wavelength_nm=_column(row, "wavelength_nm", fn, float),
+    )
 
 
-def _build_mics(rows) -> dict[str, MicProfile]:
+def _mic(row: dict) -> MicProfile:
     from .mic import MicProfile
 
     fn = "mics.csv"
-    out = {}
-    for line, row in rows:
-        profile = _build(
-            MicProfile, fn, line,
-            name=_field(row, "name", fn),
-            responsivity_per_mw=_number(row, "responsivity", fn, line),
-            band_low_hz=_number(row, "band_low_hz", fn, line),
-            band_high_hz=_number(row, "band_high_hz", fn, line),
-            saturation_mw=_number(row, "saturation_mw", fn, line),
-            noise_rms=_number(row, "noise_rms", fn, line),
-        )
-        out[profile.name.lower()] = profile
-    return out
+    return MicProfile(
+        name=_column(row, "name", fn),
+        responsivity_per_mw=_column(row, "responsivity", fn, float),
+        band_low_hz=_column(row, "band_low_hz", fn, float),
+        band_high_hz=_column(row, "band_high_hz", fn, float),
+        saturation_mw=_column(row, "saturation_mw", fn, float),
+        noise_rms=_column(row, "noise_rms", fn, float),
+    )
 
 
 def load_diodes() -> dict[str, DiodeProfile]:
-    return dict(_table("diodes.csv", _build_diodes))
+    return dict(_table("diodes.csv", _diode))
 
 
 def get_diode(name: str) -> DiodeProfile:
-    diodes = load_diodes()
-    try:
-        return diodes[name.lower()]
-    except KeyError:
-        raise FormatError(
-            f"unknown diode profile {name!r}; available: "
-            + ", ".join(sorted(p.name for p in diodes.values()))) from None
+    return _lookup(_table("diodes.csv", _diode), name, "diode")
 
 
 def load_mics() -> dict[str, MicProfile]:
-    return dict(_table("mics.csv", _build_mics))
+    return dict(_table("mics.csv", _mic))
 
 
 def get_mic(name: str) -> MicProfile:
-    mics = load_mics()
-    try:
-        return mics[name.lower()]
-    except KeyError:
-        raise FormatError(
-            f"unknown microphone profile {name!r}; available: "
-            + ", ".join(sorted(p.name for p in mics.values()))) from None
+    return _lookup(_table("mics.csv", _mic), name, "microphone")
 
 
 def device_rows() -> list[dict]:

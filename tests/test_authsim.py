@@ -236,6 +236,32 @@ class TestPolicy:
                                                  "finite"):
                 LockPolicy.delay_after(3, bad)
 
+    def test_fractional_attempt_limit_rejected(self):
+        with pytest.raises(ValueError,
+                           match="attempt_limit must be an integer, got 2.5"):
+            LockPolicy.max_attempts(2.5)
+
+    def test_bool_attempt_limit_rejected(self):
+        with pytest.raises(ValueError,
+                           match="attempt_limit must be an integer, got True"):
+            LockPolicy.max_attempts(True)
+
+    def test_float_digits_rejected(self):
+        with pytest.raises(ValueError,
+                           match="digits must be an integer, got 4.0"):
+            expected_time(LockPolicy.unlimited(), 4.0)
+        with pytest.raises(ValueError,
+                           match="digits must be an integer, got 4.0"):
+            enumerate_pins(LockPolicy.unlimited(), 4.0, 13.0, "1234")
+
+    @pytest.mark.parametrize("bounds, message", [
+        ((1.5, 6), "lower bound must be an integer, got 1.5"),
+        ((1, 6.0), "upper bound must be an integer, got 6.0"),
+    ])
+    def test_fractional_pin_length_bound_rejected(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            LockPolicy.unlimited(pin_length_range=bounds)
+
     def test_describe(self):
         assert LockPolicy.unlimited().describe() == "unlimited"
         assert LockPolicy.max_attempts(3).describe() == "max_attempts(3)"

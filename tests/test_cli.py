@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from photoninject import authsim, cli, devices, profiles, wavio
 from photoninject.signals import generate_tone
 
 SR = 48000
+DATA_DIR = Path(profiles.__file__).parent / "data"
 
 
 def run(argv, capsys):
@@ -271,8 +273,105 @@ class TestProfileColumns:
         monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
         code, _, err = run(["profiles"], capsys)
         assert code == 3
-        assert ("devices.csv:3: bad number for column 'port_count': 'three'"
+        assert ("devices.csv:3: bad integer for column 'port_count': 'three'"
                 in err)
+
+    def test_duplicate_device_name_exits_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        row = "Lab Speaker,Alexa,speaker,no,0.5,0.001,2,alexa\n"
+        (tmp_path / "devices.csv").write_text(
+            "name,backend,category,requires_auth,min_power_mw,"
+            "port_diameter_m,port_count,wake_word\n" + row + row.lower())
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        code, out, err = run(["profiles"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: devices.csv:3: duplicate name 'lab speaker'\n"
+
+    def test_csv_fields_are_quoted(self, tmp_path, monkeypatch, capsys):
+        # a comma inside a name or note stays inside its field
+        for name in ("diodes.csv", "mics.csv"):
+            (tmp_path / name).write_bytes((DATA_DIR / name).read_bytes())
+        (tmp_path / "devices.csv").write_text(
+            "name,backend,category,requires_auth,min_power_mw,"
+            "port_diameter_m,port_count,wake_word,note\n"
+            '"Lab Speaker, Kitchen",Alexa,Speaker,no,0.5,0.001,2,Alexa,'
+            '"fitted, ""not"" measured"\n')
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        code, out, _ = run(["profiles", "--format", "csv"], capsys)
+        assert code == 0
+        assert csv_rows(out)[1] == ["Lab Speaker, Kitchen", "Alexa",
+                                    "Speaker", "no", "0.5"]
+        code, out, _ = plan_output(["--device", "lab speaker, kitchen",
+                                    "--budget-mw", "5", "--distance-m", "10"],
+                                   capsys)
+        assert code == 0
+        rows = csv_rows(out)
+        assert {len(row) for row in rows} == {2}
+        assert rows[1] == ["device", "Lab Speaker, Kitchen"]
+        assert rows[-1] == ["notes", 'fitted, "not" measured']
+
+
+class TestUnknownNames:
+    """A name that is in no table exits 2 from a flag, and 3 naming the
+    file and line from a scenario file."""
+
+    @pytest.fixture
+    def wav(self, tmp_path):
+        path = tmp_path / "cmd.wav"
+        wavio.save_wav(generate_tone(1000, 0.01, SR, 0.8), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "--device", "Nosuch", "--budget-mw", "5",
+          "--distance-m", "1"], "unknown device 'Nosuch'"),
+        (["plan", "--device", "Google Home", "--budget-mw", "5",
+          "--distance-m", "1", "--diode", "green"], "unknown diode 'green'"),
+        (["range", "--device", "Nosuch", "--budget-mw", "5"],
+         "unknown device 'Nosuch'"),
+        (["range", "--device", "Google Home", "--budget-mw", "5",
+          "--diode", "green"], "unknown diode 'green'"),
+        (["modulate", "--in", "WAV", "--budget-mw", "5", "--diode", "green"],
+         "unknown diode 'green'"),
+        (["chirp-test", "--duration", "0.2", "--diode", "green"],
+         "unknown diode 'green'"),
+        (["chirp-test", "--duration", "0.2", "--mic", "nosuch"],
+         "unknown microphone 'nosuch'"),
+    ])
+    def test_unknown_flag_name_exits_2(self, tmp_path, wav, argv, message,
+                                       capsys):
+        out = tmp_path / "out.csv"
+        argv = [wav if a == "WAV" else a for a in argv]
+        if argv[0] in ("modulate", "chirp-test"):
+            argv += ["--out", str(out)]
+        code, text, err = run(argv, capsys)
+        assert (code, text) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_blanks_around_a_diode_name(self, capsys):
+        argv = ["range", "--device", "Google Home", "--budget-mw", "5"]
+        assert run([*argv, "--diode", " blue-450"], capsys) == \
+            run([*argv, "--diode", "blue-450"], capsys)
+
+    @pytest.mark.parametrize("line, message", [
+        ("device.name = Nosuch", "unknown device 'Nosuch'"),
+        ("diode.name = green", "unknown diode 'green'"),
+    ])
+    def test_unknown_file_name_exits_3(self, tmp_path, line, message, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text("device.name = Google Home\nbudget_mw = 5\n"
+                        f"distance_m = 10\n{line}\n")
+        for command in ("plan", "simulate"):
+            code, out, err = run([command, "--scenario", str(path)], capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: {path}:4: {message}")
+
+    def test_unknown_flag_name_over_a_file_exits_2(self, scenario_file,
+                                                   capsys):
+        code, out, err = run(["plan", "--scenario", scenario_file,
+                              "--diode", "green"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown diode 'green'")
 
 
 class TestRange:
@@ -342,6 +441,15 @@ class TestBruteforce:
         code, _, err = run(["bruteforce", "--digits", "4",
                             "--policy", "sometimes"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["max-attempts:abc", "max-attempts:2.5",
+                                      "delay-after:3:x", "delay-after:x:60"])
+    def test_policy_value_error_names_the_policy(self, spec, capsys):
+        code, out, err = run(["bruteforce", "--digits", "4",
+                              "--policy", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad policy {spec!r}; use unlimited, "
+                       f"max-attempts:N or delay-after:N:SECONDS\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--per-attempt-s", "nan"], "per_attempt_s must be positive and "

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from photoninject import injection, optics
 from photoninject.devices import load_devices, lookup_device
-from photoninject.errors import DeviceNotFoundError, FitError, FormatError
+from photoninject.errors import (DeviceNotFoundError, FitError, FormatError,
+                                 ProfileNotFoundError)
 from photoninject.injection import (DEFAULT_EDGE, AttackScenario,
                                     RecognitionEdge, build_scenario,
                                     calibrate_edge,
@@ -509,6 +510,24 @@ class TestBuildScenario:
             build_scenario({"device.name": "Google Home", "budget_mw": 5.0,
                             "distance_m": 3.0, "seed": -1}, "s.txt",
                            {"device.name": 1})
+
+    def test_text_outside_the_file_raises_value_error(self):
+        with pytest.raises(ValueError, match="^bad number for budget_mw: "
+                                             "'five'$"):
+            build_scenario({"device.name": "Google Home", "budget_mw": "five",
+                            "distance_m": 3.0}, None, {})
+
+    @pytest.mark.parametrize("key, kind", [("device.name", "device"),
+                                           ("diode.name", "diode")])
+    def test_unknown_name(self, key, kind):
+        values = {"device.name": "Google Home", "budget_mw": 5.0,
+                  "distance_m": 3.0, key: "Nosuch"}
+        with pytest.raises(ProfileNotFoundError) as err:
+            build_scenario(values, None, {})
+        assert err.value.kind == kind
+        with pytest.raises(FormatError,
+                           match=f"^s.txt:2: unknown {kind} 'Nosuch'"):
+            build_scenario(values, "s.txt", {key: 2})
 
     def test_missing_key_without_a_file(self):
         with pytest.raises(ValueError, match="missing required key 'budget_mw'"):

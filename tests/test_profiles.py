@@ -1,9 +1,11 @@
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from photoninject import devices, profiles
-from photoninject.errors import FormatError
+from photoninject.errors import FormatError, ProfileNotFoundError
 
 
 class TestShippedProfiles:
@@ -26,12 +28,53 @@ class TestShippedProfiles:
         assert profiles.get_diode("BLUE-450").name == "blue-450"
 
     def test_unknown_diode(self):
-        with pytest.raises(FormatError, match="unknown diode"):
+        with pytest.raises(ProfileNotFoundError,
+                           match="^unknown diode 'green-520'") as err:
             profiles.get_diode("green-520")
+        assert err.value.kind == "diode"
 
     def test_unknown_mic(self):
-        with pytest.raises(FormatError, match="unknown micro"):
+        with pytest.raises(ProfileNotFoundError, match="^unknown microphone "
+                                                       "'studio-condenser'") as err:
             profiles.get_mic("studio-condenser")
+        assert err.value.kind == "microphone"
+
+
+# kind -> (lookup function, packaged names)
+LOOKUPS = {
+    "device": (devices.lookup_device,
+               [d.name for d in devices.load_devices()]),
+    "diode": (profiles.get_diode,
+              [p.name for p in profiles.load_diodes().values()]),
+    "microphone": (profiles.get_mic,
+                   [p.name for p in profiles.load_mics().values()]),
+}
+blanks = st.text(alphabet=" \t", max_size=3)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(LOOKUPS)), st.data(), blanks, blanks,
+       st.text(max_size=20))
+def test_lookup_ignores_case_and_blanks_and_nothing_else(kind, data, before,
+                                                         after, other):
+    lookup, names = LOOKUPS[kind]
+    name = data.draw(st.sampled_from(names))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(name),
+                               max_size=len(name)))
+    query = "".join(c.swapcase() if flip else c for c, flip in zip(name, flips))
+    assert lookup(before + query + after).name == name
+    assume(other.strip().lower() not in {n.lower() for n in names})
+    with pytest.raises(ProfileNotFoundError) as err:
+        lookup(other)
+    assert (err.value.kind, err.value.name) == (kind, other)
+    assert str(err.value).startswith(f"unknown {kind} {other!r}")
+
+
+def test_device_not_found_error_is_the_shared_class():
+    from photoninject.errors import DeviceNotFoundError
+
+    assert DeviceNotFoundError is ProfileNotFoundError
+    assert issubclass(ProfileNotFoundError, LookupError)
 
 
 class TestProfileDirOverride:
@@ -78,9 +121,9 @@ DIODE_HEADER = "name,i_th_ma,slope_mw_per_ma,i_max_ma,wavelength_nm\n"
 class TestBadValues:
     @pytest.mark.parametrize("row, message", [
         ("Lab,Alexa,speaker,no,0.5,0.001,three,alexa",
-         "devices.csv:4: bad number for column 'port_count': 'three'"),
+         "devices.csv:4: bad integer for column 'port_count': 'three'"),
         ("Lab,Alexa,speaker,no,0.5,0.001,2.5,alexa",
-         "devices.csv:4: bad number for column 'port_count': '2.5'"),
+         "devices.csv:4: bad integer for column 'port_count': '2.5'"),
         ("Lab,Alexa,speaker,no,nan,0.001,2,alexa",
          "devices.csv:4: bad number for column 'min_power_mw': 'nan'"),
         ("Lab,Alexa,speaker,no,0.5,inf,2,alexa",
@@ -109,6 +152,18 @@ class TestBadValues:
                 f"diodes.csv:3: bad number for column 'slope_mw_per_ma': "
                 f"{value!r}")):
             profiles.get_diode("ok")
+
+    @pytest.mark.parametrize("second, shown", [("lab", "lab"),
+                                               (" LAB ", "LAB")])
+    def test_duplicate_name_names_file_and_line(self, tmp_path, monkeypatch,
+                                                second, shown):
+        (tmp_path / "diodes.csv").write_text(
+            DIODE_HEADER + "lab,15.0,0.5,120.0,405.0\n"
+            f"{second},15.0,0.5,120.0,505.0\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        with pytest.raises(FormatError, match=re.escape(
+                f"diodes.csv:3: duplicate name {shown!r}")):
+            profiles.get_diode("lab")
 
     def test_mic_constructor_error_names_file_and_line(self, tmp_path,
                                                        monkeypatch):
