@@ -10,10 +10,9 @@ candidate array, so only it imports numpy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import _check_integer
+from .errors import _check_integer, _check_nonnegative, _check_positive
 
 UNLIMITED = "unlimited"
 MAX_ATTEMPTS = "max_attempts"
@@ -34,9 +33,9 @@ class LockPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         _check_integer("attempt_limit", self.attempt_limit)
         if self.kind in (MAX_ATTEMPTS, DELAY_AFTER) and self.attempt_limit < 1:
-            raise ValueError("attempt_limit must be >= 1")
-        if self.kind == DELAY_AFTER and not 0 <= self.delay_s < math.inf:
-            raise ValueError(f"delay_s must be >= 0 and finite, got {self.delay_s}")
+            raise ValueError(
+                f"attempt_limit must be >= 1, got {self.attempt_limit}")
+        _check_nonnegative("delay_s", self.delay_s)
         lo, hi = self.pin_length_range
         _check_integer("pin_length_range lower bound", lo)
         _check_integer("pin_length_range upper bound", hi)
@@ -85,9 +84,7 @@ def _check_walk(policy: LockPolicy, digits: int, per_attempt_s: float) -> None:
     if not lo <= digits <= hi:
         raise ValueError(
             f"{digits}-digit PINs outside the policy's range [{lo}, {hi}]")
-    if not 0 < per_attempt_s < math.inf:
-        raise ValueError(
-            f"per_attempt_s must be positive and finite, got {per_attempt_s}")
+    _check_positive("per_attempt_s", per_attempt_s)
 
 
 def candidate_order(digits: int, order: str = "ascending",
@@ -105,8 +102,7 @@ def candidate_order(digits: int, order: str = "ascending",
     if order == "seeded_shuffle":
         if seed is None:
             raise ValueError("order 'seeded_shuffle' needs a seed")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        _check_integer("seed", seed, minimum=0)
         return np.random.default_rng(seed).permutation(n)
     raise ValueError(f"unknown order {order!r}")
 

@@ -229,13 +229,18 @@ def cmd_detect(args) -> int:
 
 
 def cmd_chirp_test(args) -> int:
-    from . import diode, mic, optics, signals
     from . import profiles as profile_store
+
+    # looked up before numpy is loaded, so that an unknown diode exits at
+    # once; an unknown microphone does not, as MicProfile's module
+    # imports numpy
+    diode_profile = profile_store.get_diode(args.diode)
+    mic_profile = profile_store.get_mic(args.mic)
+
+    from . import diode, mic, optics, signals
 
     sweep = signals.generate_chirp(args.f_start, args.f_end, args.duration,
                                    args.sample_rate)
-    diode_profile = profile_store.get_diode(args.diode)
-    mic_profile = profile_store.get_mic(args.mic)
     op = diode.optimize_operating_point(diode_profile, args.budget_mw)
     drive = diode.modulate(diode_profile, op, sweep)
     light = diode.emitted_light(diode_profile, drive)

@@ -14,14 +14,12 @@ sound here; the verdict notes say so whenever that situation applies.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mic
-from .errors import _check_integer, _check_sample_rate
+from .errors import _check_integer, _check_nonnegative, _check_sample_rate
 from .signals import AudioSignal, _smooth_fft_len
 from .wavio import load_wav_channels
 
@@ -116,9 +114,7 @@ def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     _BLOCK_BYTES, which bounds memory; within a block each channel is
     correlated with every later one in one batch.
     """
-    _check_integer("max_lag", max_lag)
-    if max_lag < 0:
-        raise ValueError("max_lag must be >= 0")
+    _check_integer("max_lag", max_lag, minimum=0)
     frames = np.asarray(frames, dtype=np.float64)
     n_ch, n_frames, frame_len = frames.shape
     # nfft >= frame_len + max_lag: no lag in the window wraps around
@@ -155,8 +151,7 @@ def channel_similarity(channel_set: ChannelSet,
     normalized cross-correlation between channels i and j within the
     +/-1 ms lag window.
     """
-    if not isinstance(frame, numbers.Integral) or frame < 256:
-        raise ValueError(f"frame must be an integer >= 256, got {frame}")
+    _check_integer("frame", frame, minimum=256)
     n = channel_set.channels.shape[1]
     if n < frame:
         raise ValueError(
@@ -183,9 +178,8 @@ def detect_injection(channel_set: ChannelSet, threshold: float = DEFAULT_THRESHO
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if energy_floor is None:
         energy_floor = default_energy_floor()
-    elif not 0 <= energy_floor < math.inf:
-        raise ValueError(
-            f"energy_floor must be >= 0 and finite, got {energy_floor}")
+    else:
+        _check_nonnegative("energy_floor", energy_floor)
     scores = channel_similarity(channel_set, frame)
     n_ch = channel_set.n_channels
     # one channel at a time: no temporary the size of the recording

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import profiles
+from .errors import _check_integer, _check_positive
 from .profiles import _column
 
 
@@ -24,25 +24,21 @@ class DeviceProfile:
     note: str = ""
 
     def __post_init__(self):
-        if not 0 < self.min_power_mw < math.inf:
-            raise ValueError("min_power_mw must be positive and finite")
-        if not 0 < self.port_diameter_m < math.inf:
-            raise ValueError("port_diameter_m must be positive and finite")
-        if self.port_count < 1:
-            raise ValueError("port_count must be >= 1")
+        _check_positive("min_power_mw", self.min_power_mw)
+        _check_positive("port_diameter_m", self.port_diameter_m)
+        _check_integer("port_count", self.port_count, minimum=1)
 
 
 def _device(row: dict) -> DeviceProfile:
-    fn = "devices.csv"
     return DeviceProfile(
-        name=_column(row, "name", fn),
-        backend=_column(row, "backend", fn),
-        category=_column(row, "category", fn),
-        requires_auth=_column(row, "requires_auth", fn, bool),
-        min_power_mw=_column(row, "min_power_mw", fn, float),
-        port_diameter_m=_column(row, "port_diameter_m", fn, float),
-        port_count=_column(row, "port_count", fn, int),
-        wake_word=_column(row, "wake_word", fn),
+        name=_column(row, "name"),
+        backend=_column(row, "backend"),
+        category=_column(row, "category"),
+        requires_auth=_column(row, "requires_auth", bool),
+        min_power_mw=_column(row, "min_power_mw", float),
+        port_diameter_m=_column(row, "port_diameter_m", float),
+        port_count=_column(row, "port_count", int),
+        wake_word=_column(row, "wake_word"),
         note=(row.get("note") or "").strip(),
     )
 

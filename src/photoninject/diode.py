@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError, _check_sample_rate
+from .errors import (BudgetError, _check_nonnegative, _check_positive,
+                     _check_sample_rate)
 
 # absorbs float dust when validating operating points against profiles (mA)
 CURRENT_ATOL_MA = 1e-9
@@ -42,17 +43,12 @@ class DiodeProfile:
     wavelength_nm: float
 
     def __post_init__(self):
-        # chained comparisons with inf: NaN fails every one of them
-        if not 0 <= self.threshold_ma < math.inf:
-            raise ValueError(
-                f"threshold_ma must be >= 0 and finite, got {self.threshold_ma}")
-        if not 0 < self.slope_mw_per_ma < math.inf:
-            raise ValueError(
-                f"slope_mw_per_ma must be > 0 and finite, got {self.slope_mw_per_ma}")
+        _check_nonnegative("threshold_ma", self.threshold_ma)
+        _check_positive("slope_mw_per_ma", self.slope_mw_per_ma)
+        # chained comparison with inf: NaN fails it
         if not self.threshold_ma < self.max_current_ma < math.inf:
             raise ValueError("max_current_ma must be finite and exceed threshold_ma")
-        if not 0 < self.wavelength_nm < math.inf:
-            raise ValueError("wavelength_nm must be positive and finite")
+        _check_positive("wavelength_nm", self.wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,7 @@ class OperatingPoint:
     def __post_init__(self):
         if not -math.inf < self.bias_ma < math.inf:
             raise ValueError(f"bias_ma must be finite, got {self.bias_ma}")
-        if not 0 <= self.peak_to_peak_ma < math.inf:
-            raise ValueError(f"peak_to_peak_ma must be >= 0 and finite, "
-                             f"got {self.peak_to_peak_ma}")
+        _check_nonnegative("peak_to_peak_ma", self.peak_to_peak_ma)
 
     @property
     def min_current_ma(self) -> float:
@@ -174,8 +168,7 @@ def optimize_operating_point(profile: DiodeProfile,
     Raises BudgetError when the diode cannot emit `budget_mw` average at
     all, i.e. I_th + L/eta > I_max even with zero swing.
     """
-    if not 0 < budget_mw < math.inf:
-        raise ValueError(f"budget must be positive and finite, got {budget_mw} mW")
+    _check_positive("budget_mw", budget_mw)
     amplitude = budget_mw / profile.slope_mw_per_ma  # I_DC - I_th, unclipped
     if profile.threshold_ma + amplitude > profile.max_current_ma + CURRENT_ATOL_MA:
         raise BudgetError(

@@ -1,9 +1,21 @@
 """Exception types and argument checks shared across the toolkit.
 
+Every public constructor and function checks its scalar arguments with
+the same few helpers, so that a bad value raises ValueError with one
+message shape: the argument's name first, the rejected value last.
+
+- `_check_positive(name, v)`: 0 < v < inf
+- `_check_nonnegative(name, v)`: 0 <= v < inf
+- `_check_integer(name, v, minimum=None)`: an integer, and at least
+  `minimum` when one is given
+- `_check_sample_rate(rate)`: a positive integral rate
+
 The checks are plain Python, so that the planners can use them without
-loading numpy.
+loading numpy. Checks that relate two values, or test a bounded
+interval, are written where the values live.
 """
 
+import math
 import operator
 
 
@@ -40,16 +52,28 @@ class ProfileNotFoundError(PhotonInjectError, LookupError):
 DeviceNotFoundError = ProfileNotFoundError
 
 
-def _check_integer(name: str, value) -> None:
+# chained comparisons with inf: NaN fails every one of them
+def _check_positive(name: str, value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+
+
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
     # operator.index takes int and numpy integers but no float; bool is an
     # int subclass, yet never a meaningful count or seed
-    if not isinstance(value, bool):
-        try:
-            operator.index(value)
-            return
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_sample_rate(rate) -> None:

@@ -22,7 +22,7 @@ from . import optics
 from .devices import DeviceProfile, lookup_device
 from .diode import DiodeProfile, OperatingPoint
 from .errors import (FitError, FormatError, ProfileNotFoundError,
-                     _check_integer)
+                     _check_integer, _check_nonnegative, _check_positive)
 from .optics import Aperture, OpticalPath
 
 P_CLAMP_LOW = 0.01
@@ -36,19 +36,13 @@ class RecognitionEdge:
     width: float
 
     def __post_init__(self):
-        if not 0 < self.width < math.inf:
-            raise ValueError("edge width must be positive and finite")
+        _check_positive("width", self.width)
 
 
 # Fitted on the Google Home Mini distance-accuracy data (success rates
 # 0.975 / 0.675 / 0.0 at 20 / 25 / 27 m, 60 mW budget, default optics);
 # see calibrate_edge. Frozen here as the shipping default.
 DEFAULT_EDGE = RecognitionEdge(0.019724)
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,7 @@ class AttackScenario:
     def __post_init__(self):
         _check_positive("budget_mw", self.budget_mw)
         _check_positive("distance_m", self.distance_m)
-        _check_integer("seed", self.rng_seed)
-        if self.rng_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
+        _check_integer("seed", self.rng_seed, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,7 @@ class AttackReport:
 def success_probability(device: DeviceProfile, received_mw: float,
                         edge: RecognitionEdge = DEFAULT_EDGE) -> float:
     """Per-attempt recognition probability for the received power."""
-    if not 0 <= received_mw < math.inf:
-        raise ValueError("received_mw must be >= 0 and finite")
+    _check_nonnegative("received_mw", received_mw)
     p = _raw_probability(device.min_power_mw, received_mw, edge.width)
     if p < P_CLAMP_LOW:
         return 0.0
@@ -186,9 +177,7 @@ def simulate_attack(scenario: AttackScenario, trials: int,
     is exactly 0 or 1 no uniform can change an outcome, so none is drawn
     and numpy is not imported; only 0 < p < 1 draws the trials.
     """
-    _check_integer("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_integer("trials", trials, minimum=1)
     op = diode_mod.optimize_operating_point(scenario.diode, scenario.budget_mw)
     emitted = diode_mod.average_power(scenario.diode, op)
     path = scenario.path
@@ -229,8 +218,7 @@ def simulate_attack(scenario: AttackScenario, trials: int,
 
 def consecutive_success_criterion(outcomes, k: int) -> bool:
     """True when the outcome sequence contains k consecutive successes."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_integer("k", k, minimum=1)
     run = 0
     for outcome in outcomes:
         run = run + 1 if outcome else 0
@@ -339,8 +327,7 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
     trials = get("trials", 10, int)
     wake = get("wake_word_matched", False, bool)
     try:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_integer("trials", trials, minimum=1)
         # checked before the focus follows it
         _check_positive("distance_m", distance)
         path = OpticalPath(

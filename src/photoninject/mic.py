@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diode import LightWaveform
-from .errors import _check_integer, _check_sample_rate
+from .errors import (_check_integer, _check_nonnegative, _check_positive,
+                     _check_sample_rate)
 from .signals import AudioSignal, _smooth_fft_len
 
 # ambient office noise floor: 0.005 of full scale is -46 dBFS, mirroring
@@ -58,15 +59,12 @@ class MicProfile:
     noise_rms: float             # ambient noise floor, normalized amplitude
 
     def __post_init__(self):
-        # chained comparisons with inf: NaN fails every one of them
-        if not 0 < self.responsivity_per_mw < math.inf:
-            raise ValueError("responsivity_per_mw must be positive and finite")
+        _check_positive("responsivity_per_mw", self.responsivity_per_mw)
+        # chained comparison with inf: NaN fails it
         if not 0 < self.band_low_hz < self.band_high_hz < math.inf:
             raise ValueError("need 0 < band_low_hz < band_high_hz, both finite")
-        if not 0 < self.saturation_mw < math.inf:
-            raise ValueError("saturation_mw must be positive and finite")
-        if not 0 <= self.noise_rms < math.inf:
-            raise ValueError("noise_rms must be >= 0 and finite")
+        _check_positive("saturation_mw", self.saturation_mw)
+        _check_nonnegative("noise_rms", self.noise_rms)
 
 
 MEMS_DEFAULT = MicProfile("mems-default", DEFAULT_RESPONSIVITY, 20.0, 20000.0,
@@ -97,9 +95,8 @@ def bandpass_fft(samples: np.ndarray, sample_rate: int, low_hz: float,
     if not np.isfinite(samples).all():
         raise ValueError("samples must all be finite")
     _check_sample_rate(sample_rate)
-    # chained comparisons with inf: NaN fails every one of them
-    if not 0 < low_hz < math.inf:
-        raise ValueError(f"low_hz must be positive and finite, got {low_hz}")
+    _check_positive("low_hz", low_hz)
+    # chained comparison with inf: NaN fails it
     if not low_hz < high_hz < math.inf:
         raise ValueError(f"high_hz must be finite and above low_hz "
                          f"({low_hz}), got {high_hz}")
@@ -138,9 +135,7 @@ def transduce(profile: MicProfile, light_at_port: LightWaveform,
     (sample_rate >= 2 * band_high). Output is bit-reproducible for a
     fixed rng_seed.
     """
-    _check_integer("seed", rng_seed)
-    if rng_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {rng_seed}")
+    _check_integer("seed", rng_seed, minimum=0)
     rate = light_at_port.sample_rate
     if rate < 2 * profile.band_high_hz:
         raise ValueError(
@@ -163,8 +158,6 @@ def output_vpp(profile: MicProfile, ipp_effective_mw: float) -> float:
     Linear in the drive up to saturation, constant beyond it:
     min(r * I_pp_effective, r * saturation).
     """
-    if not 0 <= ipp_effective_mw < math.inf:
-        raise ValueError(
-            f"ipp_effective_mw must be >= 0 and finite, got {ipp_effective_mw}")
+    _check_nonnegative("ipp_effective_mw", ipp_effective_mw)
     return profile.responsivity_per_mw * min(ipp_effective_mw,
                                              profile.saturation_mw)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .errors import _check_nonnegative, _check_positive
+
 # bisection cap: beyond this the link is reported unbounded at model scale
 MAX_RANGE_CAP_M = 10_000.0
 RANGE_RESOLUTION_M = 0.01
@@ -38,15 +40,10 @@ class OpticalPath:
     incidence_angle_deg: float = 0.0
 
     def __post_init__(self):
-        # chained comparisons with inf: NaN fails every one of them
-        if not 0 < self.lens_diameter_m < math.inf:
-            raise ValueError("lens_diameter_m must be positive and finite")
-        if not 0 < self.focus_distance_m < math.inf:
-            raise ValueError("focus_distance_m must be positive and finite")
-        if not 0 < self.wavelength_nm < math.inf:
-            raise ValueError("wavelength_nm must be positive and finite")
-        if not 0 <= self.pointing_jitter_m < math.inf:
-            raise ValueError("pointing_jitter_m must be >= 0 and finite")
+        _check_positive("lens_diameter_m", self.lens_diameter_m)
+        _check_positive("focus_distance_m", self.focus_distance_m)
+        _check_positive("wavelength_nm", self.wavelength_nm)
+        _check_nonnegative("pointing_jitter_m", self.pointing_jitter_m)
         for name in ("window_transmission", "mesh_transmission"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -84,16 +81,8 @@ class Aperture:
     offset_m: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.port_diameter_m < math.inf:
-            raise ValueError("port_diameter_m must be positive and finite")
-        if not 0 <= self.offset_m < math.inf:
-            raise ValueError("offset_m must be >= 0 and finite")
-
-
-def _check_distance(distance_m: float) -> None:
-    if not 0 < distance_m < math.inf:
-        raise ValueError(
-            f"distance must be positive and finite, got {distance_m}")
+        _check_positive("port_diameter_m", self.port_diameter_m)
+        _check_nonnegative("offset_m", self.offset_m)
 
 
 def _spot(path: OpticalPath, distance_m: float, focus_m: float) -> float:
@@ -104,7 +93,7 @@ def _spot(path: OpticalPath, distance_m: float, focus_m: float) -> float:
 
 def spot_diameter(path: OpticalPath, distance_m: float) -> float:
     """Beam diameter at the target for the given path."""
-    _check_distance(distance_m)
+    _check_positive("distance_m", distance_m)
     return _spot(path, distance_m, path.focus_distance_m)
 
 
@@ -129,9 +118,7 @@ def disk_overlap_area(r1: float, r2: float, center_distance: float) -> float:
 
 def capture_fraction(spot_diameter_m: float, aperture: Aperture) -> float:
     """Fraction of a top-hat spot falling inside the port disk."""
-    if not 0 <= spot_diameter_m < math.inf:
-        raise ValueError(
-            f"spot diameter must be >= 0 and finite, got {spot_diameter_m}")
+    _check_nonnegative("spot_diameter_m", spot_diameter_m)
     r_spot = spot_diameter_m / 2
     r_port = aperture.port_diameter_m / 2
     # decided without dividing by the spot area, which underflows to 0 for
@@ -147,10 +134,8 @@ def capture_fraction(spot_diameter_m: float, aperture: Aperture) -> float:
 def received_power(path: OpticalPath, aperture: Aperture, distance_m: float,
                    emitted_avg_mw: float) -> float:
     """Average power entering the port, mW. Never exceeds the emitted power."""
-    if not 0 <= emitted_avg_mw < math.inf:
-        raise ValueError(
-            f"emitted_avg_mw must be >= 0 and finite, got {emitted_avg_mw}")
-    _check_distance(distance_m)
+    _check_nonnegative("emitted_avg_mw", emitted_avg_mw)
+    _check_positive("distance_m", distance_m)
     return _received(path, aperture, distance_m, path.focus_distance_m,
                      emitted_avg_mw)
 
@@ -171,12 +156,8 @@ def max_range(path: OpticalPath, aperture: Aperture, emitted_avg_mw: float,
     requirement already fails at 0.01 m and the 10 km cap when it still
     holds there (unbounded at model scale).
     """
-    if not 0 < emitted_avg_mw < math.inf:
-        raise ValueError(
-            f"emitted_avg_mw must be positive and finite, got {emitted_avg_mw}")
-    if not 0 < required_mw < math.inf:
-        raise ValueError(
-            f"required_mw must be positive and finite, got {required_mw}")
+    _check_positive("emitted_avg_mw", emitted_avg_mw)
+    _check_positive("required_mw", required_mw)
 
     # received_power(path.focused_at(d), aperture, d, emitted), without
     # building a path per probe

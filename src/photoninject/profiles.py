@@ -120,12 +120,13 @@ def _parse_value(text: str, kind, what: str):
     raise ValueError(f"bad {word} for {what}: {value!r}")
 
 
-def _column(row: dict, key: str, filename: str, kind=str):
+def _column(row: dict, key: str, kind=str):
     """Column `key` of a row: its stripped text, or that text parsed as
-    `kind`."""
+    `kind`. A column missing from the header or from a short row raises
+    ValueError, which `_table` reports at the row's line."""
     value = row.get(key)
     if value is None:
-        raise FormatError(f"{filename}: missing column {key!r}")
+        raise ValueError(f"missing column {key!r}")
     if kind is str:
         return value.strip()
     return _parse_value(value, kind, f"column {key!r}")
@@ -134,27 +135,25 @@ def _column(row: dict, key: str, filename: str, kind=str):
 def _diode(row: dict) -> DiodeProfile:
     from .diode import DiodeProfile
 
-    fn = "diodes.csv"
     return DiodeProfile(
-        name=_column(row, "name", fn),
-        threshold_ma=_column(row, "i_th_ma", fn, float),
-        slope_mw_per_ma=_column(row, "slope_mw_per_ma", fn, float),
-        max_current_ma=_column(row, "i_max_ma", fn, float),
-        wavelength_nm=_column(row, "wavelength_nm", fn, float),
+        name=_column(row, "name"),
+        threshold_ma=_column(row, "i_th_ma", float),
+        slope_mw_per_ma=_column(row, "slope_mw_per_ma", float),
+        max_current_ma=_column(row, "i_max_ma", float),
+        wavelength_nm=_column(row, "wavelength_nm", float),
     )
 
 
 def _mic(row: dict) -> MicProfile:
     from .mic import MicProfile
 
-    fn = "mics.csv"
     return MicProfile(
-        name=_column(row, "name", fn),
-        responsivity_per_mw=_column(row, "responsivity", fn, float),
-        band_low_hz=_column(row, "band_low_hz", fn, float),
-        band_high_hz=_column(row, "band_high_hz", fn, float),
-        saturation_mw=_column(row, "saturation_mw", fn, float),
-        noise_rms=_column(row, "noise_rms", fn, float),
+        name=_column(row, "name"),
+        responsivity_per_mw=_column(row, "responsivity", float),
+        band_low_hz=_column(row, "band_low_hz", float),
+        band_high_hz=_column(row, "band_high_hz", float),
+        saturation_mw=_column(row, "saturation_mw", float),
+        noise_rms=_column(row, "noise_rms", float),
     )
 
 

@@ -5,8 +5,8 @@ from hypothesis import settings
 from photoninject import profiles
 
 # `pytest --hypothesis-profile=ci` draws 2000 examples per property
-# instead of 100; CI runs the CSV formatter, band-pass and lookup
-# properties with it
+# instead of 100; CI runs the CSV formatter, band-pass, lookup and
+# scenario properties with it
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 

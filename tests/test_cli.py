@@ -182,7 +182,7 @@ plan_values = st.fixed_dictionaries({
 })
 
 
-@settings(deadline=None, max_examples=60,
+@settings(deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(plan_values, plan_values)
 def test_plan_flags_match_scenario_files(tmp_path, capsys, want, other):
@@ -262,7 +262,21 @@ class TestProfileColumns:
                                     "--budget-mw", "5"]):
             code, _, err = run(argv, capsys)
             assert code == 3
-            assert "devices.csv: missing column 'port_count'" in err
+            assert "devices.csv:2: missing column 'port_count'" in err
+
+    def test_short_device_row_exits_3(self, tmp_path, monkeypatch, capsys):
+        # every column is in the header; line 4 stops before the port
+        (tmp_path / "devices.csv").write_text(
+            "name,backend,category,requires_auth,min_power_mw,"
+            "port_diameter_m,port_count,wake_word\n"
+            "Lab Speaker,Alexa,speaker,no,0.5,0.001,2,alexa\n"
+            "Lab Phone,Siri,phone,yes,1.0,0.0008,3,hey siri\n"
+            "Google Nest Cam IQ,Google Assistant,Camera,no,9\n")
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        code, out, err = run(["profiles"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: devices.csv:4: missing column "
+                       "'port_diameter_m'\n")
 
     def test_bad_device_number_exits_3(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "devices.csv").write_text(
@@ -380,7 +394,7 @@ class TestRange:
         code, out, err = run(["range", "--device", "Google Home",
                               "--budget-mw", budget], capsys)
         assert (code, out) == (2, "")
-        assert f"budget must be positive and finite, got {budget}" in err
+        assert f"budget_mw must be positive and finite, got {budget}" in err
 
     def test_corridor_scale(self, capsys):
         code, out, _ = run(["range", "--device", "Google Home",

@@ -567,7 +567,7 @@ class TestRecognitionEdge:
                                      float("-inf")])
     def test_width_finite(self, bad):
         with pytest.raises(ValueError,
-                           match="edge width must be positive and finite"):
+                           match="^width must be positive and finite"):
             RecognitionEdge(bad)
 
     def test_default_is_frozen_fit(self):

@@ -290,7 +290,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("spot", [-1e-3, float("nan"), float("inf")])
     def test_capture_fraction_rejects_bad_spot(self, spot):
-        with pytest.raises(ValueError, match="spot diameter"):
+        with pytest.raises(ValueError, match="^spot_diameter_m must be"):
             capture_fraction(spot, Aperture(0.001))
 
     @settings(deadline=None)

@@ -109,7 +109,7 @@ class TestProfileDirOverride:
             "Lab Speaker,Alexa,speaker,no,0.5,0.001,alexa\n")
         monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
         with pytest.raises(FormatError,
-                           match="devices.csv: missing column 'port_count'"):
+                           match="devices.csv:2: missing column 'port_count'"):
             devices.load_devices()
 
 
@@ -132,6 +132,9 @@ class TestBadValues:
          "devices.csv:4: min_power_mw must be positive"),
         ("Lab,Alexa,speaker,maybe,0.5,0.001,2,alexa",
          "devices.csv:4: bad boolean 'maybe'"),
+        # a short row: the header has the column, the row stops before it
+        ("Lab,Alexa,speaker,no,9",
+         "devices.csv:4: missing column 'port_diameter_m'"),
     ])
     def test_device_row_errors_name_file_and_line(self, tmp_path, monkeypatch,
                                                   row, message):

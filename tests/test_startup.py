@@ -70,6 +70,17 @@ def test_command_runs_without_numpy(case):
     assert digest(proc.stdout) == expected, proc.stdout.decode()
 
 
+def test_chirp_test_rejects_an_unknown_diode_without_numpy():
+    # the diode is looked up before the chirp is built; an unknown --mic
+    # still loads numpy, with the microphone model that MicProfile lives in
+    proc = python("-c", RUN_CLI, "chirp-test", "--diode", "nosuch")
+    assert proc.returncode == 2, proc.stderr.decode()
+    err = proc.stderr.decode().splitlines()
+    assert err[0].startswith("error: unknown diode 'nosuch'")
+    assert err[-1] == "numpy loaded: False"
+    assert proc.stdout == b""
+
+
 def test_module_entry_point_imports_no_numpy():
     # the exact command the benchmark's setup_s times
     proc = python("-X", "importtime", "-m", "photoninject.cli", "profiles")
