@@ -37,10 +37,8 @@ class LockPolicy:
                 f"attempt_limit must be >= 1, got {self.attempt_limit}")
         _check_nonnegative("delay_s", self.delay_s)
         lo, hi = self.pin_length_range
-        _check_integer("pin_length_range lower bound", lo)
-        _check_integer("pin_length_range upper bound", hi)
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad pin_length_range {self.pin_length_range}")
+        _check_integer("pin_length_range lower bound", lo, minimum=1)
+        _check_integer("pin_length_range upper bound", hi, minimum=lo)
 
     @classmethod
     def unlimited(cls, pin_length_range=(1, 6)) -> "LockPolicy":

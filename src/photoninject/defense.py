@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mic
-from .errors import _check_integer, _check_nonnegative, _check_sample_rate
+from .errors import (_check_integer, _check_nonnegative, _check_sample_rate,
+                     _check_samples)
 from .signals import AudioSignal, _smooth_fft_len
 from .wavio import load_wav_channels
 
@@ -50,17 +51,12 @@ class ChannelSet:
     sample_rate: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.channels, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("channels must be a 2-D (n_channels, n_samples) array")
-        if arr.shape[0] < 2:
-            raise ValueError("need at least 2 channels")
-        if arr.shape[1] < 1:
-            raise ValueError("channels are empty")
-        if not np.isfinite(arr).all():
-            raise ValueError("channels contain non-finite samples")
-        _check_sample_rate(self.sample_rate)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        arr = _check_samples("channels", self.channels, ndim=2, copy=False)
+        if arr.shape[0] < 2 or arr.shape[1] < 1:
+            raise ValueError(f"channels must hold at least 2 channels and 1 "
+                             f"sample, got shape {arr.shape}")
+        object.__setattr__(self, "sample_rate",
+                           _check_sample_rate(self.sample_rate))
         object.__setattr__(self, "channels", arr)
 
     @classmethod
@@ -78,8 +74,7 @@ class ChannelSet:
 
     @classmethod
     def from_wav(cls, path) -> "ChannelSet":
-        channels, rate = load_wav_channels(path)
-        return cls(channels, rate)
+        return cls(*load_wav_channels(path))
 
     @property
     def n_channels(self) -> int:
@@ -115,7 +110,7 @@ def pairwise_max_ncc(frames: np.ndarray, max_lag: int) -> np.ndarray:
     correlated with every later one in one batch.
     """
     _check_integer("max_lag", max_lag, minimum=0)
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = _check_samples("frames", frames, ndim=3, copy=False)
     n_ch, n_frames, frame_len = frames.shape
     # nfft >= frame_len + max_lag: no lag in the window wraps around
     nfft = _smooth_fft_len(frame_len + max_lag)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (BudgetError, _check_nonnegative, _check_positive,
-                     _check_sample_rate)
+                     _check_sample_rate, _check_samples)
 
 # absorbs float dust when validating operating points against profiles (mA)
 CURRENT_ATOL_MA = 1e-9
@@ -47,7 +47,9 @@ class DiodeProfile:
         _check_positive("slope_mw_per_ma", self.slope_mw_per_ma)
         # chained comparison with inf: NaN fails it
         if not self.threshold_ma < self.max_current_ma < math.inf:
-            raise ValueError("max_current_ma must be finite and exceed threshold_ma")
+            raise ValueError(f"max_current_ma must be finite and above "
+                             f"threshold_ma ({self.threshold_ma}), "
+                             f"got {self.max_current_ma}")
         _check_positive("wavelength_nm", self.wavelength_nm)
 
 
@@ -85,17 +87,6 @@ class OperatingPoint:
                 f"({profile.name})")
 
 
-def _checked_samples(values, sample_rate, what: str) -> np.ndarray:
-    """`values` as float64 after checking them and `sample_rate`."""
-    import numpy as np
-
-    _check_sample_rate(sample_rate)
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError(f"{what} must be finite and >= 0")
-    return arr
-
-
 @dataclass(frozen=True)
 class DriveWaveform:
     """Diode drive current samples in mA."""
@@ -104,8 +95,10 @@ class DriveWaveform:
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "currents_ma", _checked_samples(
-            self.currents_ma, self.sample_rate, "drive currents"))
+        object.__setattr__(self, "sample_rate",
+                           _check_sample_rate(self.sample_rate))
+        object.__setattr__(self, "currents_ma", _check_samples(
+            "currents_ma", self.currents_ma, nonnegative=True))
 
 
 @dataclass(frozen=True)
@@ -116,8 +109,10 @@ class LightWaveform:
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "powers_mw", _checked_samples(
-            self.powers_mw, self.sample_rate, "optical powers"))
+        object.__setattr__(self, "sample_rate",
+                           _check_sample_rate(self.sample_rate))
+        object.__setattr__(self, "powers_mw", _check_samples(
+            "powers_mw", self.powers_mw, nonnegative=True))
 
     @property
     def mean_mw(self) -> float:
@@ -190,8 +185,7 @@ def emitted_light(profile: DiodeProfile, drive: DriveWaveform) -> LightWaveform:
     import numpy as np
 
     currents = drive.currents_ma
-    bad = np.flatnonzero((currents < -CURRENT_ATOL_MA) |
-                         (currents > profile.max_current_ma + CURRENT_ATOL_MA))
+    bad = np.flatnonzero(currents > profile.max_current_ma + CURRENT_ATOL_MA)
     if bad.size:
         i = int(bad[0])
         raise ValueError(

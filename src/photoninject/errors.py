@@ -1,18 +1,21 @@
 """Exception types and argument checks shared across the toolkit.
 
-Every public constructor and function checks its scalar arguments with
-the same few helpers, so that a bad value raises ValueError with one
-message shape: the argument's name first, the rejected value last.
+Every public constructor and function checks its arguments with the
+same few helpers, so that a bad value raises ValueError with one message
+shape: the argument's name first and, for a scalar, its value last.
 
 - `_check_positive(name, v)`: 0 < v < inf
 - `_check_nonnegative(name, v)`: 0 <= v < inf
 - `_check_integer(name, v, minimum=None)`: an integer, and at least
   `minimum` when one is given
-- `_check_sample_rate(rate)`: a positive integral rate
+- `_check_sample_rate(rate)`: a positive integral rate, returned as int
+- `_check_samples(name, values, ndim=1, nonnegative=False, copy=True)`:
+  a finite float64 array of rank `ndim`, all >= 0 if `nonnegative`, as a
+  read-only copy, or without `copy` as the input itself if it is float64
 
-The checks are plain Python, so that the planners can use them without
-loading numpy. Checks that relate two values, or test a bounded
-interval, are written where the values live.
+Only `_check_samples` imports numpy, when called, so that the planners
+can use the others without loading numpy. Checks that relate two values,
+or test a bounded interval, are written where the values live.
 """
 
 import math
@@ -76,10 +79,29 @@ def _check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def _check_sample_rate(rate) -> None:
+def _check_sample_rate(rate) -> int:
     try:
         ok = rate > 0 and int(rate) == rate
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise ValueError(f"sample_rate must be a positive integer, got {rate}")
+    return int(rate)
+
+
+def _check_samples(name: str, values, ndim: int = 1, nonnegative: bool = False,
+                   copy: bool = True):
+    import numpy as np
+
+    # without copy a float64 view, say a frame slice of a recording, is
+    # used as it is: making it contiguous would copy it
+    arr = (np.array if copy else np.asarray)(values, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must all be finite")
+    if nonnegative and (arr < 0).any():
+        raise ValueError(f"{name} must all be >= 0")
+    if copy:
+        arr.flags.writeable = False
+    return arr

@@ -131,7 +131,8 @@ def calibrate_edge(observations, scenario_template: AttackScenario,
     budget and optics with focus tracking the observation distance. The
     width minimizing the sum of squared rate errors is found by
     golden-section search on [lo, hi]; on a flat objective the search
-    collapses deterministically onto the lower end of the bracket.
+    collapses deterministically onto the lower end of the bracket. When it
+    ends on an end where the objective still falls, FitError names the end.
     """
     obs = [(float(d), float(r)) for d, r in observations]
     if len(obs) < 2 or len({d for d, _ in obs}) < 2:
@@ -162,7 +163,12 @@ def calibrate_edge(observations, scenario_template: AttackScenario,
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
             f2 = sse(x2)
-    return RecognitionEdge((a + b) / 2)
+    width = (a + b) / 2
+    # a (b) stays at lo (hi) only when the search never left that end
+    for name, end, kept in (("lo", lo, a), ("hi", hi, b)):
+        if kept == end and sse(end) < sse(width):
+            raise FitError(f"best width lies beyond {name}={end}")
+    return RecognitionEdge(width)
 
 
 def simulate_attack(scenario: AttackScenario, trials: int,

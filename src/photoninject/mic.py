@@ -32,7 +32,7 @@ import numpy as np
 
 from .diode import LightWaveform
 from .errors import (_check_integer, _check_nonnegative, _check_positive,
-                     _check_sample_rate)
+                     _check_sample_rate, _check_samples)
 from .signals import AudioSignal, _smooth_fft_len
 
 # ambient office noise floor: 0.005 of full scale is -46 dBFS, mirroring
@@ -60,9 +60,12 @@ class MicProfile:
 
     def __post_init__(self):
         _check_positive("responsivity_per_mw", self.responsivity_per_mw)
+        _check_positive("band_low_hz", self.band_low_hz)
         # chained comparison with inf: NaN fails it
-        if not 0 < self.band_low_hz < self.band_high_hz < math.inf:
-            raise ValueError("need 0 < band_low_hz < band_high_hz, both finite")
+        if not self.band_low_hz < self.band_high_hz < math.inf:
+            raise ValueError(f"band_high_hz must be finite and above "
+                             f"band_low_hz ({self.band_low_hz}), "
+                             f"got {self.band_high_hz}")
         _check_positive("saturation_mw", self.saturation_mw)
         _check_nonnegative("noise_rms", self.noise_rms)
 
@@ -89,11 +92,7 @@ def bandpass_fft(samples: np.ndarray, sample_rate: int, low_hz: float,
     low_hz/2 and at min(2*high_hz, Nyquist). DC is always removed. The
     samples must be a finite 1-D array-like.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1:
-        raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-    if not np.isfinite(samples).all():
-        raise ValueError("samples must all be finite")
+    samples = _check_samples("samples", samples, copy=False)
     _check_sample_rate(sample_rate)
     _check_positive("low_hz", low_hz)
     # chained comparison with inf: NaN fails it

@@ -49,7 +49,8 @@ class OpticalPath:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if not 0.0 <= self.incidence_angle_deg < 90.0:
-            raise ValueError("incidence_angle_deg must be in [0, 90)")
+            raise ValueError(f"incidence_angle_deg must be in [0, 90), "
+                             f"got {self.incidence_angle_deg}")
 
     @classmethod
     def default(cls, focus_distance_m: float,

@@ -13,21 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _check_integer, _check_sample_rate
+from .errors import _check_integer, _check_sample_rate, _check_samples
 
 TWO_PI = 2.0 * math.pi
 # rows of spectrogram CSV turned into text at once, in whole time bins:
 # about 0.5 MiB of temporaries in `_decimal`, so peak memory stays put
 _CSV_BLOCK_ROWS = 4096
-
-
-def _as_readonly_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -38,12 +29,10 @@ class AudioSignal:
     sample_rate: int
 
     def __post_init__(self):
-        _check_sample_rate(self.sample_rate)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
-        arr = _as_readonly_f64(self.samples)
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("samples must all be finite")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "sample_rate",
+                           _check_sample_rate(self.sample_rate))
+        object.__setattr__(self, "samples",
+                           _check_samples("samples", self.samples))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -131,18 +120,16 @@ class Spectrogram:
     freqs_hz: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _check_sample_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate",
+                           _check_sample_rate(self.sample_rate))
         _check_integer("frame_length", self.frame_length)
         _check_integer("hop", self.hop)
         if not 0 < self.hop <= self.frame_length:
             raise ValueError(f"hop must be in (0, frame_length], got {self.hop}")
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        if mags.ndim != 2 or mags.shape[1] != self.frame_length // 2 + 1:
+        mags = _check_samples("magnitudes", self.magnitudes, ndim=2,
+                              nonnegative=True, copy=False)
+        if mags.shape[1] != self.frame_length // 2 + 1:
             raise ValueError("magnitudes must be (time bins, frame_length/2 + 1)")
-        if not np.all(np.isfinite(mags)):
-            raise ValueError("magnitudes must all be finite")
-        if np.any(mags < 0):
-            raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "magnitudes", mags)
         starts = np.arange(mags.shape[0]) * self.hop
         object.__setattr__(

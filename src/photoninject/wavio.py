@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, _check_sample_rate
+from .errors import FormatError, _check_sample_rate, _check_samples
 from .signals import AudioSignal
 
 PCM_FULL_SCALE = 32768.0
@@ -135,13 +135,10 @@ def save_wav(signal: AudioSignal, path) -> None:
 
 
 def save_wav_channels(channels: np.ndarray, sample_rate: int, path) -> None:
-    """Write an N-channel 16-bit PCM file from float rows in [-1, 1].
+    """Write a 16-bit PCM file from 2-D (n_channels, n) floats in [-1, 1].
 
     Values outside [-1, 1] clip to full scale; NaN and ±inf have no PCM
     value and are rejected, as is a rate that is not a positive integer.
     """
-    _check_sample_rate(sample_rate)
-    channels = np.atleast_2d(np.asarray(channels, dtype=np.float64))
-    if not np.isfinite(channels).all():
-        raise ValueError("samples must all be finite")
-    _write(path, quantize_pcm16(channels).T, int(sample_rate))
+    channels = _check_samples("channels", channels, ndim=2, copy=False)
+    _write(path, quantize_pcm16(channels).T, _check_sample_rate(sample_rate))

@@ -1,18 +1,22 @@
-"""Every public entry point checks its scalar arguments the same way.
+"""Every public entry point checks its arguments the same way.
 
-A NaN, an infinity or an out-of-domain value raises ValueError whose
+A NaN, an infinity or an out-of-domain scalar raises ValueError whose
 message starts with the argument's name and ends with the value it
 rejected; `build_scenario` maps a constructor's error to its scenario key
-by that first word.
+by that first word. A sample array of the wrong rank, with a non-finite
+value or, for a current, power or magnitude, a negative one raises
+ValueError whose message starts with the argument's name.
 """
 
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from photoninject import authsim, defense, devices, diode, injection, mic, optics
+from photoninject import (authsim, defense, devices, diode, injection, mic,
+                          optics, signals, wavio)
 from photoninject.errors import (_check_integer, _check_nonnegative,
                                  _check_positive)
 from photoninject.profiles import get_diode
@@ -73,6 +77,8 @@ POSITIVE = [
      0.0),
     ("MicProfile", "saturation_mw",
      lambda v: mic.MicProfile(**{**MIC_FIELDS, "saturation_mw": v}), -0.1),
+    ("MicProfile", "band_low_hz",
+     lambda v: mic.MicProfile(**{**MIC_FIELDS, "band_low_hz": v}), 0.0),
     ("bandpass_fft", "low_hz",
      lambda v: mic.bandpass_fft(np.zeros(64), 48000, v, 20000.0), 0.0),
     ("RecognitionEdge", "width", lambda v: injection.RecognitionEdge(v), 0.0),
@@ -145,10 +151,26 @@ INTEGER = [
      lambda v: defense.channel_similarity(CHANNELS, v), 255),
     ("detect_injection", "frame",
      lambda v: defense.detect_injection(CHANNELS, frame=v), 128),
+    ("LockPolicy", "pin_length_range lower bound",
+     lambda v: authsim.LockPolicy.unlimited(pin_length_range=(v, 6)), 0),
+    ("LockPolicy", "pin_length_range upper bound",
+     lambda v: authsim.LockPolicy.unlimited(pin_length_range=(4, v)), 3),
 ]
 
+# checks that relate two fields or test a bounded interval
+RELATION = [
+    ("DiodeProfile", "max_current_ma",
+     lambda v: diode.DiodeProfile("d", 30.0, 1.0, v, 450.0), 20.0),
+    ("MicProfile", "band_high_hz",
+     lambda v: mic.MicProfile(**{**MIC_FIELDS, "band_high_hz": v}), 10.0),
+    ("OpticalPath", "incidence_angle_deg",
+     lambda v: optics.OpticalPath(0.086, 10.0, 450.0, incidence_angle_deg=v),
+     90.0),
+]
+
+TABLES = (POSITIVE, NONNEGATIVE, INTEGER, RELATION)
 CASES = [pytest.param(call, name, value, id=f"{entry}-{name}-{label}")
-         for table in (POSITIVE, NONNEGATIVE, INTEGER)
+         for table in TABLES
          for entry, name, call, bad in table
          for label, value in (("nan", math.nan), ("inf", math.inf),
                               ("domain", bad))]
@@ -175,10 +197,107 @@ def test_every_entry_point_accepts_its_good_values():
             "peak_to_peak_ma": 10.0, "noise_rms": 0.0,
             "ipp_effective_mw": 0.0, "received_mw": 0.0, "delay_s": 0.0,
             "energy_floor": 0.0, "port_count": 1, "seed": 0, "trials": 1,
-            "k": 1, "max_lag": 0, "frame": 256}
-    for table in (POSITIVE, NONNEGATIVE, INTEGER):
+            "k": 1, "max_lag": 0, "frame": 256, "band_low_hz": 20.0,
+            "pin_length_range lower bound": 1,
+            "pin_length_range upper bound": 6, "max_current_ma": 300.0,
+            "band_high_hz": 20000.0, "incidence_angle_deg": 0.0}
+    for table in TABLES:
         for _, name, call, _ in table:
             call(good[name])
+
+
+# (entry point, name in the message, the call with the array replaced, a
+# good shape, whether negative values are refused)
+ARRAYS = [
+    ("AudioSignal", "samples",
+     lambda v: signals.AudioSignal(v, 48000), (64,), False),
+    ("DriveWaveform", "currents_ma",
+     lambda v: diode.DriveWaveform(v, 48000), (64,), True),
+    ("LightWaveform", "powers_mw",
+     lambda v: diode.LightWaveform(v, 48000), (64,), True),
+    ("Spectrogram", "magnitudes",
+     lambda v: signals.Spectrogram(v, 16, 8, 48000), (3, 9), True),
+    ("ChannelSet", "channels",
+     lambda v: defense.ChannelSet(v, 48000), (2, 64), False),
+    ("bandpass_fft", "samples",
+     lambda v: mic.bandpass_fft(v, 48000, 100.0, 8000.0), (64,), False),
+    # a refused array writes nothing, and a good one goes to the null device
+    ("save_wav_channels", "channels",
+     lambda v: wavio.save_wav_channels(v, 48000, os.devnull), (2, 8), False),
+    ("pairwise_max_ncc", "frames",
+     lambda v: defense.pairwise_max_ncc(v, 0), (2, 1, 8), False),
+]
+
+
+def bad_arrays(shape, nonnegative):
+    """(label, array, expected message without the name) for one entry."""
+    ndim = len(shape)
+    for wrong in dict.fromkeys([(), shape[:-1], shape + (1,)]):
+        yield (f"shape{wrong}", np.ones(wrong),
+               rf"must be {ndim}-D, got shape {re.escape(str(wrong))}")
+    refused = [math.nan, math.inf, -math.inf] + [-1.0] * nonnegative
+    for value in refused:
+        arr = np.ones(shape)
+        arr.flat[-1] = value  # the last sample, so no prefix check passes
+        yield (str(value), arr,
+               "must all be >= 0" if value == -1.0 else "must all be finite")
+
+
+ARRAY_CASES = [pytest.param(call, name, arr, message,
+                            id=f"{entry}-{name}-{label}")
+               for entry, name, call, shape, nonnegative in ARRAYS
+               for label, arr, message in bad_arrays(shape, nonnegative)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, name, arr, message", ARRAY_CASES)
+def test_bad_sample_array_is_named(call, name, arr, message):
+    with pytest.raises(ValueError, match=rf"^{name} {message}$"):
+        call(arr)
+
+
+def test_every_array_entry_point_accepts_good_arrays():
+    for _, _, call, shape, _ in ARRAYS:
+        call(np.ones(shape))
+        call(np.ones(shape).tolist())
+
+
+@pytest.mark.parametrize("make, field", [
+    (signals.AudioSignal, "samples"),
+    (diode.DriveWaveform, "currents_ma"),
+    (diode.LightWaveform, "powers_mw"),
+])
+def test_waveforms_hold_a_read_only_copy(make, field):
+    source = np.linspace(0.0, 1.0, 64)
+    wave = make(source, 48000.0)
+    held = getattr(wave, field)
+    with pytest.raises(ValueError, match="read-only"):
+        held[0] = 5.0
+    source[:] = 7.0
+    assert np.array_equal(held, np.linspace(0.0, 1.0, 64))
+    assert held.dtype == np.float64 and held.flags.c_contiguous
+
+
+@pytest.mark.parametrize("make", [
+    lambda rate: signals.AudioSignal(np.zeros(8), rate),
+    lambda rate: diode.DriveWaveform(np.zeros(8), rate),
+    lambda rate: diode.LightWaveform(np.zeros(8), rate),
+    lambda rate: defense.ChannelSet(np.zeros((2, 8)), rate),
+    lambda rate: signals.Spectrogram(np.zeros((2, 9)), 16, 8, rate),
+], ids=["AudioSignal", "DriveWaveform", "LightWaveform", "ChannelSet",
+        "Spectrogram"])
+def test_integral_float_rate_stored_as_int(make):
+    rate = make(48000.0).sample_rate
+    assert rate == 48000 and type(rate) is int
+
+
+def test_channels_are_not_copied():
+    # detect's recordings run to megabytes: C-contiguous float64 is used
+    # as it is
+    channels = np.ones((2, 64))
+    assert defense.ChannelSet(channels, 48000).channels is channels
+    mags = np.ones((3, 9))
+    assert signals.Spectrogram(mags, 16, 8, 48000).magnitudes is mags
 
 
 class TestHelpers:

@@ -25,7 +25,8 @@ class TestChannelSet:
         for bad in (np.nan, np.inf, -np.inf):
             chans = np.random.default_rng(0).normal(0, 0.1, (3, 4096))
             chans[1, 5] = bad
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError,
+                               match="^channels must all be finite$"):
                 ChannelSet(chans, SR)
 
     def test_sample_rate_must_be_a_positive_integer(self):

@@ -149,6 +149,7 @@ class TestCalibrateEdge:
     def test_fit_matches_frozen_default(self):
         edge = calibrate_edge(self.OBS, self.template())
         assert edge.width == pytest.approx(DEFAULT_EDGE.width, abs=1e-4)
+        assert edge.width == pytest.approx(0.019724139, abs=1e-9)
 
     def test_fit_reproduces_observed_rates(self):
         template = self.template()
@@ -164,15 +165,26 @@ class TestCalibrateEdge:
         assert preds[27.0] <= 0.01
 
     def test_two_point_fit(self):
-        edge = calibrate_edge([(20.0, 0.975), (27.0, 0.0)], self.template())
-        assert edge.width > 0
+        edge = calibrate_edge([(20.0, 0.975), (25.0, 0.675)], self.template())
+        assert 0.01 < edge.width < 10.0
         template = self.template()
         r20 = optics.received_power(template.path.focused_at(20), template.aperture,
                                     20, 60.0)
-        r27 = optics.received_power(template.path.focused_at(27), template.aperture,
-                                    27, 60.0)
+        r25 = optics.received_power(template.path.focused_at(25), template.aperture,
+                                    25, 60.0)
         assert (success_probability(template.device, r20, edge)
-                > success_probability(template.device, r27, edge))
+                > success_probability(template.device, r25, edge))
+
+    @pytest.mark.parametrize("obs, bracket, end", [
+        # a 0.9 rate at 25 m, or a hard 0 with no middle point, is fitted
+        # best by a width below the default bracket (0.00656 at lo=0.001)
+        ([(20.0, 0.975), (25.0, 0.9), (27.0, 0.0)], {}, "lo=0.01"),
+        ([(20.0, 0.975), (27.0, 0.0)], {}, "lo=0.01"),
+        (OBS, {"hi": 0.015}, "hi=0.015"),
+    ])
+    def test_fit_onto_a_sloped_bracket_end_rejected(self, obs, bracket, end):
+        with pytest.raises(FitError, match=f"^best width lies beyond {re.escape(end)}$"):
+            calibrate_edge(obs, self.template(), **bracket)
 
     def test_flat_objective_is_deterministic(self):
         # a unit-slope diode at close range puts exactly min_power on the

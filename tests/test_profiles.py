@@ -177,7 +177,9 @@ class TestBadValues:
             "lab,1.0,22000.0,10.0,1.0,0.0\n")
         monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
         with pytest.raises(FormatError,
-                           match=re.escape("mics.csv:3: need 0 < band_low_hz")):
+                           match=re.escape(
+                               "mics.csv:3: band_high_hz must be finite and "
+                               "above band_low_hz (22000.0), got 10.0")):
             profiles.load_mics()
 
 

@@ -122,7 +122,7 @@ class TestRoundTrip:
         chans = np.zeros((2, 8))
         chans[1, 3] = bad
         path = tmp_path / "n.wav"
-        with pytest.raises(ValueError, match="samples must all be finite"):
+        with pytest.raises(ValueError, match="^channels must all be finite$"):
             wavio.save_wav_channels(chans, 48000, path)
         assert not path.exists()
 
