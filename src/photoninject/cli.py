@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 from .errors import BudgetError, FormatError, ProfileNotFoundError
@@ -191,34 +192,41 @@ def cmd_bruteforce(args) -> int:
     from . import authsim
 
     policy = _parse_policy(args.policy)
-    row = authsim.summary_row(policy, args.digits, args.per_attempt_s)
+    per_attempt_s = getattr(args, "per_attempt_s",
+                            authsim.DEFAULT_PER_ATTEMPT_S)
+    row = authsim.summary_row(policy, args.digits, per_attempt_s)
+    _, _, _, worst_s, mean_s, success_prob = row
+    header = ["policy", "digits", "per_attempt_s", "worst_s", "mean_s",
+              "success_prob"]
     # walked before anything is printed, so a bad secret or seed prints nothing
     result = None
     if args.secret is not None:
-        result = authsim.enumerate_pins(policy, args.digits, args.per_attempt_s,
+        result = authsim.enumerate_pins(policy, args.digits, per_attempt_s,
                                         args.secret, args.order, args.seed)
-    _emit([row], ["policy", "digits", "per_attempt_s", "worst_s", "mean_s",
-                  "success_prob"], args.format)
-    *_, worst_s, mean_s, success_prob = row
+        if args.format == "csv":
+            header += ["attempts", "elapsed_s", "outcome"]
+            row += (result.attempts_made, result.elapsed_s, result.outcome)
+    _emit([row], header, args.format)
     if args.format != "csv":
         print(f"worst case: {worst_s / 3600:.1f} h, "
               f"mean: {mean_s / 3600:.2f} h, "
               f"success probability: {success_prob:g}")
-    if result is None:
-        return EXIT_OK
-    print(f"secret {args.secret}: {result.outcome} after "
-          f"{result.attempts_made} attempts, {result.elapsed_s:.1f} s "
-          f"({result.elapsed_s / 3600:.2f} h)")
-    return EXIT_OK if result.outcome == "unlocked" else EXIT_INFEASIBLE
+        if result is not None:
+            print(f"secret {args.secret}: {result.outcome} after "
+                  f"{result.attempts_made} attempts, {result.elapsed_s:.1f} s "
+                  f"({result.elapsed_s / 3600:.2f} h)")
+    unlocked = result is None or result.outcome == "unlocked"
+    return EXIT_OK if unlocked else EXIT_INFEASIBLE
 
 
 def cmd_detect(args) -> int:
     from . import defense
 
     channel_set = defense.ChannelSet.from_wav(args.infile)
-    verdict = defense.detect_injection(
-        channel_set, threshold=args.threshold,
-        energy_floor=args.energy_floor, frame=args.frame)
+    # a flag left out is absent from args and keeps the library's default
+    options = {name: value for name, value in vars(args).items()
+               if name in ("threshold", "energy_floor", "frame")}
+    verdict = defense.detect_injection(channel_set, **options)
     if args.format != "csv":
         print(f"verdict: {verdict.status}")
         if verdict.notes:
@@ -310,14 +318,11 @@ def _add_range(sub) -> None:
 
 
 def _add_bruteforce(sub) -> None:
-    from . import authsim
-
     p = sub.add_parser("bruteforce", help="PIN brute-force timing under a policy")
     p.add_argument("--digits", type=int, required=True)
     p.add_argument("--policy", required=True,
                    help="unlimited | max-attempts:N | delay-after:N:SECONDS")
-    p.add_argument("--per-attempt-s", type=float,
-                   default=authsim.DEFAULT_PER_ATTEMPT_S)
+    p.add_argument("--per-attempt-s", type=float, default=argparse.SUPPRESS)
     p.add_argument("--secret")
     p.add_argument("--order", choices=["ascending", "seeded_shuffle"],
                    default="ascending")
@@ -327,14 +332,12 @@ def _add_bruteforce(sub) -> None:
 
 
 def _add_detect(sub) -> None:
-    from . import defense
-
     p = sub.add_parser("detect", help="multi-microphone injection detection")
     p.add_argument("--in", dest="infile", required=True,
                    help="multichannel 16-bit PCM WAV")
-    p.add_argument("--threshold", type=float, default=defense.DEFAULT_THRESHOLD)
-    p.add_argument("--energy-floor", type=float)
-    p.add_argument("--frame", type=int, default=defense.DEFAULT_FRAME)
+    p.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--energy-floor", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--frame", type=int, default=argparse.SUPPRESS)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_detect)
 
@@ -368,32 +371,21 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with `command`'s alone.
-
-    A one-subcommand parser shows the full choice list in its usage line,
-    so an unrecognized-argument error prints what the full parser prints.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="photoninject",
         description="Laser audio injection planning, simulation and defense")
-    # pinned only for a one-subcommand parser: on the full parser it would
-    # also rename the "argument command" of an invalid-choice error
-    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, add in SUBCOMMANDS.items():
-        if command in (None, name):
-            add(sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in SUBCOMMANDS.values():
+        add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # building only the named subcommand's parser saves most of the parse
-    # cost; anything else (help, no or unknown command) needs the full one
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

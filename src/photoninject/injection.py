@@ -135,6 +135,10 @@ def calibrate_edge(observations, scenario_template: AttackScenario,
     ends on an end where the objective still falls, FitError names the end.
     """
     obs = [(float(d), float(r)) for d, r in observations]
+    for d, r in obs:
+        _check_positive("distance_m", d)
+        if not 0 <= r <= 1:
+            raise ValueError(f"success_rate must be in [0, 1], got {r}")
     if len(obs) < 2 or len({d for d, _ in obs}) < 2:
         raise FitError("need at least two observations at distinct distances")
     op = diode_mod.optimize_operating_point(scenario_template.diode,

@@ -128,8 +128,10 @@ class Spectrogram:
             raise ValueError(f"hop must be in (0, frame_length], got {self.hop}")
         mags = _check_samples("magnitudes", self.magnitudes, ndim=2,
                               nonnegative=True, copy=False)
-        if mags.shape[1] != self.frame_length // 2 + 1:
-            raise ValueError("magnitudes must be (time bins, frame_length/2 + 1)")
+        width = self.frame_length // 2 + 1
+        if mags.shape[1] != width:
+            raise ValueError(f"magnitudes must be (time bins, frame_length/2 + 1"
+                             f" = {width}), got shape {mags.shape}")
         object.__setattr__(self, "magnitudes", mags)
         starts = np.arange(mags.shape[0]) * self.hop
         object.__setattr__(

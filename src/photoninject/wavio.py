@@ -21,7 +21,8 @@ PCM_FULL_SCALE = 32768.0
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     """Float [-1, 1] to int16, round half away from zero, clamped."""
-    x = np.asarray(samples, dtype=np.float64) * PCM_FULL_SCALE
+    x = _check_samples("samples", samples, ndim=np.ndim(samples),
+                       copy=False) * PCM_FULL_SCALE
     q = np.copysign(np.floor(np.abs(x) + 0.5), x)
     return np.clip(q, -32768, 32767).astype(np.int16)
 
@@ -96,15 +97,18 @@ def load_wav_channels(path) -> tuple[np.ndarray, int]:
     """Read any channel count; returns (channels[n_ch, n], sample_rate)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    return _parse(blob)
+    try:
+        return _parse(blob)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_wav(path) -> AudioSignal:
     """Read a mono or stereo file; stereo is downmixed by averaging."""
     channels, rate = load_wav_channels(path)
     if channels.shape[0] > 2:
-        raise FormatError(
-            f"fmt chunk: {channels.shape[0]} channels; mono loader accepts 1 or 2")
+        raise FormatError(f"{path}: fmt chunk: {channels.shape[0]} channels; "
+                          f"mono loader accepts 1 or 2")
     mono = channels[0] if channels.shape[0] == 1 else channels.mean(axis=0)
     return AudioSignal(mono, rate)
 

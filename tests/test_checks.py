@@ -35,6 +35,12 @@ MIC_FIELDS = dict(name="m", responsivity_per_mw=4.0, band_low_hz=20.0,
                   band_high_hz=20000.0, saturation_mw=0.1, noise_rms=0.005)
 SCENARIO_FIELDS = dict(device=HOME, diode=BLUE, path=PATH, aperture=PORT,
                        budget_mw=5.0, distance_m=10.0)
+# a template calibrate_edge fits to a width inside its bracket
+MINI = devices.lookup_device("Google Home Mini")
+EDGE_TEMPLATE = injection.AttackScenario(
+    device=MINI, diode=BLUE, path=optics.OpticalPath.default(20.0),
+    aperture=optics.Aperture(MINI.port_diameter_m), budget_mw=60.0,
+    distance_m=20.0)
 
 
 def scenario_values(**values):
@@ -97,6 +103,9 @@ POSITIVE = [
     ("enumerate_pins", "per_attempt_s",
      lambda v: authsim.enumerate_pins(authsim.LockPolicy.unlimited(), 4, v,
                                       "1234"), -13.0),
+    ("calibrate_edge", "distance_m",
+     lambda v: injection.calibrate_edge([(v, 0.975), (25.0, 0.675)],
+                                        EDGE_TEMPLATE), 0.0),
 ]
 
 NONNEGATIVE = [
@@ -166,6 +175,9 @@ RELATION = [
     ("OpticalPath", "incidence_angle_deg",
      lambda v: optics.OpticalPath(0.086, 10.0, 450.0, incidence_angle_deg=v),
      90.0),
+    ("calibrate_edge", "success_rate",
+     lambda v: injection.calibrate_edge([(20.0, 0.975), (25.0, v)],
+                                        EDGE_TEMPLATE), 1.5),
 ]
 
 TABLES = (POSITIVE, NONNEGATIVE, INTEGER, RELATION)
@@ -200,7 +212,8 @@ def test_every_entry_point_accepts_its_good_values():
             "k": 1, "max_lag": 0, "frame": 256, "band_low_hz": 20.0,
             "pin_length_range lower bound": 1,
             "pin_length_range upper bound": 6, "max_current_ma": 300.0,
-            "band_high_hz": 20000.0, "incidence_angle_deg": 0.0}
+            "band_high_hz": 20000.0, "incidence_angle_deg": 0.0,
+            "success_rate": 0.675}
     for table in TABLES:
         for _, name, call, _ in table:
             call(good[name])

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import synth_command
-from photoninject import authsim, cli, devices, profiles, wavio
+from photoninject import authsim, cli, defense, devices, profiles, wavio
 from photoninject.signals import generate_tone
 
 SR = 48000
@@ -34,6 +34,17 @@ def scenario_file(tmp_path):
         "distance_m = 110\n"
         "trials = 10\n"
         "seed = 7\n")
+    return str(path)
+
+
+@pytest.fixture
+def injected_wav(tmp_path):
+    """A 4-channel recording with a command on channel 1 alone."""
+    rng = np.random.default_rng(1)
+    chans = rng.normal(0, 0.005, (4, SR // 2))
+    chans[1] += synth_command(rng, SR // 2, SR)
+    path = tmp_path / "inj.wav"
+    wavio.save_wav_channels(chans, SR, path)
     return str(path)
 
 
@@ -440,6 +451,24 @@ class TestBruteforce:
         assert code == 1
         assert "locked_out" in out
 
+    @pytest.mark.parametrize("policy, secret, code, result", [
+        ("max-attempts:5", "1234", 1, ["5", "65.0", "locked_out"]),
+        ("unlimited", "0042", 0, ["43", "559.0", "unlocked"]),
+    ])
+    def test_secret_in_csv_adds_columns(self, policy, secret, code, result,
+                                        capsys):
+        argv = ["bruteforce", "--digits", "4", "--policy", policy,
+                "--format", "csv"]
+        plain = run(argv, capsys)
+        got = run(argv + ["--secret", secret], capsys)
+        assert got[0] == code
+        rows = csv_rows(got[1])
+        assert rows == [csv_rows(plain[1])[0]
+                        + ["attempts", "elapsed_s", "outcome"],
+                        csv_rows(plain[1])[1] + result]
+        # the omitted --per-attempt-s is the library's default
+        assert float(rows[1][2]) == authsim.DEFAULT_PER_ATTEMPT_S
+
     def test_seeded_shuffle_defaults_to_seed_0(self, capsys):
         argv = ["bruteforce", "--digits", "4", "--policy", "unlimited",
                 "--secret", "1234", "--order", "seeded_shuffle"]
@@ -482,13 +511,8 @@ class TestBruteforce:
 
 
 class TestDetect:
-    def test_injection_flagged(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
-        chans = rng.normal(0, 0.005, (4, SR // 2))
-        chans[1] += synth_command(rng, SR // 2, SR)
-        path = tmp_path / "inj.wav"
-        wavio.save_wav_channels(chans, SR, path)
-        code, out, _ = run(["detect", "--in", str(path)], capsys)
+    def test_injection_flagged(self, injected_wav, capsys):
+        code, out, _ = run(["detect", "--in", injected_wav], capsys)
         assert code == 1
         assert "injection_suspected" in out
 
@@ -507,6 +531,29 @@ class TestDetect:
     def test_missing_input_exits_3(self, capsys):
         code, _, _ = run(["detect", "--in", "/nonexistent.wav"], capsys)
         assert code == 3
+
+    def test_format_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "notes.wav"
+        path.write_text("not a recording\n")
+        code, out, err = run(["detect", "--in", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: RIFF header: missing 'RIFF' tag\n"
+
+    def test_only_given_flags_reach_the_detector(self, injected_wav,
+                                                 monkeypatch, capsys):
+        seen = []
+        detect = defense.detect_injection
+
+        def recording(channel_set, **options):
+            seen.append(options)
+            return detect(channel_set, **options)
+
+        monkeypatch.setattr(defense, "detect_injection", recording)
+        run(["detect", "--in", injected_wav], capsys)
+        run(["detect", "--in", injected_wav, "--threshold", "0.7",
+             "--energy-floor", "0", "--frame", "512"], capsys)
+        assert seen == [{}, {"threshold": 0.7, "energy_floor": 0.0,
+                             "frame": 512}]
 
     @pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-0.001"])
     def test_bad_energy_floor_exits_2(self, tmp_path, capsys, floor):
@@ -641,32 +688,47 @@ class TestParserPerCommand:
         assert run(argv, capsys) == full_parser_output(argv, capsys)
 
     def test_invalid_choice_names_the_command_argument(self, capsys):
-        # a metavar pinned on the full parser would rename the argument here
         code, out, err = run(["bogus"], capsys)
         assert code == 2
         assert out == ""
         assert "photoninject: error: argument command: invalid choice: " \
                "'bogus'" in err
 
-    @pytest.mark.parametrize("argv, built", [
-        (["profiles"], ["profiles"]),
-        (["detect", "--in", "/nonexistent.wav"], ["detect"]),
-        (["--help"], list(cli.SUBCOMMANDS)),
-        (["bogus"], list(cli.SUBCOMMANDS)),
-        ([], list(cli.SUBCOMMANDS)),
-    ])
-    def test_builds_only_the_named_subcommand(self, argv, built, monkeypatch,
-                                              capsys):
-        seen = []
 
-        def recording(name, add):
-            def wrapped(sub):
-                seen.append(name)
-                add(sub)
-            return wrapped
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
-        monkeypatch.setattr(cli, "SUBCOMMANDS", {
-            name: recording(name, add) for name, add in cli.SUBCOMMANDS.items()})
-        cli.main(argv)
-        capsys.readouterr()
-        assert seen == built
+    def test_calls_in_one_process_match_a_fresh_parser(self, injected_wav,
+                                                       capsys):
+        # each flag-bearing call is followed by the same command without
+        # the flag, so a value left behind on the shared parser would show
+        brute = ["bruteforce", "--digits", "3", "--policy", "max-attempts:5"]
+        detect = ["detect", "--in", injected_wav]
+        argvs = [
+            ["plan", "--device", "Google Home", "--budget-mw", "5",
+             "--distance-m", "110", "--format", "csv"],
+            ["plan", "--device", "Google Home", "--budget-mw", "5",
+             "--distance-m", "110"],
+            ["range", "--device", "Google Home", "--budget-mw", "5"],
+            brute + ["--per-attempt-s", "2", "--secret", "004",
+                     "--format", "csv"],
+            brute + ["--secret", "123"],
+            brute,
+            detect + ["--threshold", "0.5"],
+            detect + ["--threshold", "0.01", "--frame", "512",
+                      "--format", "csv"],
+            detect,
+            detect + ["--energy-floor", "1"],
+            detect,
+            ["detect"], ["bogus"], [], ["range", "--device", "X"],
+            ["--help"], ["detect", "--help"],
+        ]
+        shared = [run(argv, capsys) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        assert shared == fresh
+        # the flags changed the verdict, so the comparison above saw them
+        assert [code for code, _, _ in shared[6:11]] == [1, 0, 1, 0, 1]

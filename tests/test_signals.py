@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,12 @@ class TestSpectrogram:
         # times and frequencies reach ridge_hz or to_csv
         with pytest.raises(ValueError, match=message):
             Spectrogram(np.ones((2, 9)), frame_length, hop, rate)
+
+    def test_magnitude_width_message_gives_both_shapes(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "magnitudes must be (time bins, frame_length/2 + 1 = 9), "
+                "got shape (3, 8)")):
+            Spectrogram(np.ones((3, 8)), 16, 8, 48000)
 
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="shorter than one"):

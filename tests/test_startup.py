@@ -81,6 +81,26 @@ def test_chirp_test_rejects_an_unknown_diode_without_numpy():
     assert proc.stdout == b""
 
 
+def test_parser_build_imports_no_submodule():
+    # argparse defaults that copy a library default would import the
+    # library (and with it numpy) before any command runs
+    proc = python("-c", "import sys, photoninject.cli as cli; "
+                  "cli.build_parser(); print(sorted("
+                  "m for m in sys.modules if m.startswith('photoninject')"
+                  " or m == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == \
+        "['photoninject', 'photoninject.cli', 'photoninject.errors']"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]])
+def test_help_runs_without_numpy(argv):
+    proc = python("-c", RUN_CLI, *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().startswith("usage: photoninject ")
+    assert proc.stderr.decode().splitlines() == ["numpy loaded: False"]
+
+
 def test_module_entry_point_imports_no_numpy():
     # the exact command the benchmark's setup_s times
     proc = python("-X", "importtime", "-m", "photoninject.cli", "profiles")

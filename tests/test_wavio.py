@@ -78,6 +78,13 @@ class TestQuantize:
         assert wavio.quantize_pcm16(np.array([-0.5 / 32768]))[0] == -1
         assert wavio.quantize_pcm16(np.array([1.49 / 32768]))[0] == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("samples", [[0.5, np.nan], [np.inf],
+                                         [[0.0, -np.inf]], np.nan])
+    def test_non_finite_rejected(self, samples):
+        with pytest.raises(ValueError, match="^samples must all be finite$"):
+            wavio.quantize_pcm16(np.array(samples))
+
 
 class TestRoundTrip:
     def test_tone_round_trip(self, tmp_path):
@@ -196,13 +203,14 @@ class TestFormatRejection:
         with pytest.raises(FormatError) as err:
             wavio.load_wav(path)
         assert str(err.value) == (
-            f"{shown} chunk: truncated (declared 100 bytes, 10 present)")
+            f"{path}: {shown} chunk: truncated (declared 100 bytes, 10 present)")
 
     def test_missing_riff(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"JUNK" + _wav_bytes()[4:])
-        with pytest.raises(FormatError, match="RIFF"):
+        with pytest.raises(FormatError) as err:
             wavio.load_wav(path)
+        assert str(err.value) == f"{path}: RIFF header: missing 'RIFF' tag"
 
     def test_missing_wave_tag(self, tmp_path):
         blob = _wav_bytes()
@@ -227,8 +235,10 @@ class TestFormatRejection:
     def test_too_many_channels_for_mono_loader(self, tmp_path):
         path = tmp_path / "m.wav"
         wavio.save_wav_channels(np.zeros((4, 10)) + 0.1, 48000, path)
-        with pytest.raises(FormatError, match="4 channels"):
+        with pytest.raises(FormatError) as err:
             wavio.load_wav(path)
+        assert str(err.value) == (
+            f"{path}: fmt chunk: 4 channels; mono loader accepts 1 or 2")
 
 
 class TestWriterLayout:
