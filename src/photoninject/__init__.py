@@ -22,8 +22,7 @@ _EXPORTS = {
     "diode": ("DiodeProfile", "DriveWaveform", "LightWaveform",
               "OperatingPoint", "emitted_light", "modulate", "optical_power",
               "optimize_operating_point"),
-    "errors": ("BudgetError", "DeviceNotFoundError", "FitError", "FormatError",
-               "PhotonInjectError"),
+    "errors": ("BudgetError", "FitError", "FormatError", "PhotonInjectError"),
     "injection": ("AttackReport", "AttackScenario", "RecognitionEdge",
                   "calibrate_edge", "consecutive_success_criterion",
                   "load_scenario", "simulate_attack", "success_probability"),

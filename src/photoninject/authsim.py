@@ -19,6 +19,7 @@ MAX_ATTEMPTS = "max_attempts"
 DELAY_AFTER = "delay_after"
 
 DEFAULT_PER_ATTEMPT_S = 13.0  # one spoken attempt plus the device's re-prompt
+_MAX_DIGITS = 6  # PINs of 1 to 6 digits: up to a million candidates
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class LockPolicy:
     kind: str
     attempt_limit: int = 0      # n for max_attempts / delay_after
     delay_s: float = 0.0        # for delay_after
-    pin_length_range: tuple[int, int] = (1, 6)
 
     def __post_init__(self):
         if self.kind not in (UNLIMITED, MAX_ATTEMPTS, DELAY_AFTER):
@@ -36,23 +36,18 @@ class LockPolicy:
             raise ValueError(
                 f"attempt_limit must be >= 1, got {self.attempt_limit}")
         _check_nonnegative("delay_s", self.delay_s)
-        lo, hi = self.pin_length_range
-        _check_integer("pin_length_range lower bound", lo, minimum=1)
-        _check_integer("pin_length_range upper bound", hi, minimum=lo)
 
     @classmethod
-    def unlimited(cls, pin_length_range=(1, 6)) -> "LockPolicy":
-        return cls(UNLIMITED, pin_length_range=pin_length_range)
+    def unlimited(cls) -> "LockPolicy":
+        return cls(UNLIMITED)
 
     @classmethod
-    def max_attempts(cls, n: int, pin_length_range=(1, 6)) -> "LockPolicy":
-        return cls(MAX_ATTEMPTS, attempt_limit=n, pin_length_range=pin_length_range)
+    def max_attempts(cls, n: int) -> "LockPolicy":
+        return cls(MAX_ATTEMPTS, attempt_limit=n)
 
     @classmethod
-    def delay_after(cls, n: int, delay_s: float,
-                    pin_length_range=(1, 6)) -> "LockPolicy":
-        return cls(DELAY_AFTER, attempt_limit=n, delay_s=delay_s,
-                   pin_length_range=pin_length_range)
+    def delay_after(cls, n: int, delay_s: float) -> "LockPolicy":
+        return cls(DELAY_AFTER, attempt_limit=n, delay_s=delay_s)
 
     def describe(self) -> str:
         if self.kind == MAX_ATTEMPTS:
@@ -76,12 +71,10 @@ class ExpectedTime:
     success_prob: float
 
 
-def _check_walk(policy: LockPolicy, digits: int, per_attempt_s: float) -> None:
+def _check_walk(digits: int, per_attempt_s: float) -> None:
     _check_integer("digits", digits)
-    lo, hi = policy.pin_length_range
-    if not lo <= digits <= hi:
-        raise ValueError(
-            f"{digits}-digit PINs outside the policy's range [{lo}, {hi}]")
+    if not 1 <= digits <= _MAX_DIGITS:
+        raise ValueError(f"digits must be in [1, {_MAX_DIGITS}], got {digits}")
     _check_positive("per_attempt_s", per_attempt_s)
 
 
@@ -115,7 +108,7 @@ def enumerate_pins(policy: LockPolicy, digits: int, per_attempt_s: float,
     walk is not stepped: everything follows from the secret's 0-based
     position among the candidates.
     """
-    _check_walk(policy, digits, per_attempt_s)
+    _check_walk(digits, per_attempt_s)
     if len(secret) != digits or not (secret.isascii() and secret.isdigit()):
         raise ValueError(f"secret must be exactly {digits} digits, got {secret!r}")
     target = int(secret)
@@ -138,7 +131,7 @@ def enumerate_pins(policy: LockPolicy, digits: int, per_attempt_s: float,
 def expected_time(policy: LockPolicy, digits: int,
                   per_attempt_s: float = DEFAULT_PER_ATTEMPT_S) -> ExpectedTime:
     """Closed-form timing for a uniformly random secret."""
-    _check_walk(policy, digits, per_attempt_s)
+    _check_walk(digits, per_attempt_s)
     n_space = 10 ** digits
     t = per_attempt_s
 
@@ -157,11 +150,3 @@ def expected_time(policy: LockPolicy, digits: int,
     total_delays = n * q * (q - 1) // 2 + r * q
     mean = (n_space + 1) / 2 * t + policy.delay_s * total_delays / n_space
     return ExpectedTime(worst, mean, 1.0)
-
-
-def summary_row(policy: LockPolicy, digits: int,
-                per_attempt_s: float) -> tuple:
-    """One `policy,digits,per_attempt_s,worst_s,mean_s,success_prob` row."""
-    et = expected_time(policy, digits, per_attempt_s)
-    return (policy.describe(), digits, per_attempt_s, et.worst_s, et.mean_s,
-            et.success_prob)

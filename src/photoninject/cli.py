@@ -194,8 +194,9 @@ def cmd_bruteforce(args) -> int:
     policy = _parse_policy(args.policy)
     per_attempt_s = getattr(args, "per_attempt_s",
                             authsim.DEFAULT_PER_ATTEMPT_S)
-    row = authsim.summary_row(policy, args.digits, per_attempt_s)
-    _, _, _, worst_s, mean_s, success_prob = row
+    et = authsim.expected_time(policy, args.digits, per_attempt_s)
+    row = (policy.describe(), args.digits, per_attempt_s, et.worst_s,
+           et.mean_s, et.success_prob)
     header = ["policy", "digits", "per_attempt_s", "worst_s", "mean_s",
               "success_prob"]
     # walked before anything is printed, so a bad secret or seed prints nothing
@@ -208,9 +209,9 @@ def cmd_bruteforce(args) -> int:
             row += (result.attempts_made, result.elapsed_s, result.outcome)
     _emit([row], header, args.format)
     if args.format != "csv":
-        print(f"worst case: {worst_s / 3600:.1f} h, "
-              f"mean: {mean_s / 3600:.2f} h, "
-              f"success probability: {success_prob:g}")
+        print(f"worst case: {et.worst_s / 3600:.1f} h, "
+              f"mean: {et.mean_s / 3600:.2f} h, "
+              f"success probability: {et.success_prob:g}")
         if result is not None:
             print(f"secret {args.secret}: {result.outcome} after "
                   f"{result.attempts_made} attempts, {result.elapsed_s:.1f} s "
@@ -358,19 +359,6 @@ def _add_chirp_test(sub) -> None:
     p.set_defaults(func=cmd_chirp_test)
 
 
-# subcommand name -> function adding its parser, in help-listing order
-SUBCOMMANDS = {
-    "profiles": _add_profiles,
-    "plan": _add_plan,
-    "modulate": _add_modulate,
-    "simulate": _add_simulate,
-    "range": _add_range,
-    "bruteforce": _add_bruteforce,
-    "detect": _add_detect,
-    "chirp-test": _add_chirp_test,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser with every subcommand, built once per process."""
@@ -378,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="photoninject",
         description="Laser audio injection planning, simulation and defense")
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in SUBCOMMANDS.values():
+    # in help-listing order
+    for add in (_add_profiles, _add_plan, _add_modulate, _add_simulate,
+                _add_range, _add_bruteforce, _add_detect, _add_chirp_test):
         add(sub)
     return parser
 

@@ -18,16 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mic
-from .errors import (_check_integer, _check_nonnegative, _check_sample_rate,
-                     _check_samples)
+from .errors import (FormatError, _check_integer, _check_nonnegative,
+                     _check_sample_rate, _check_samples)
 from .signals import AudioSignal, _smooth_fft_len
 from .wavio import load_wav_channels
 
+# ambient office noise floor: 0.005 of full scale is -46 dBFS, mirroring
+# a ~46 dB(A) room against a 0 dBFS full-scale signal
+_AMBIENT_NOISE_RMS = 0.005
+ENERGY_FLOOR_MARGIN_DB = 6.0
+
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_FRAME = 1024
+# energy gate 6 dB above the ambient noise power
+DEFAULT_ENERGY_FLOOR = _AMBIENT_NOISE_RMS ** 2 * 10 ** (ENERGY_FLOOR_MARGIN_DB / 10)
 LAG_WINDOW_S = 0.001   # inter-port acoustic skew bound for hand-sized devices
-ENERGY_FLOOR_MARGIN_DB = 6.0
 _BLOCK_BYTES = 1 << 20   # correlation output per block in pairwise_max_ncc
 
 CLEAN = "clean"
@@ -36,11 +41,6 @@ INJECTION_SUSPECTED = "injection_suspected"
 BLIND_SPOT_NOTE = ("all energized channels carry mutually consistent signals; "
                    "a wide beam covering every port at once would look the "
                    "same as ambient sound and cannot be flagged here")
-
-
-def default_energy_floor(noise_rms: float = mic.DEFAULT_NOISE_RMS) -> float:
-    """Energy gate 6 dB above the configured ambient noise power."""
-    return noise_rms ** 2 * 10 ** (ENERGY_FLOOR_MARGIN_DB / 10)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,13 @@ class ChannelSet:
 
     @classmethod
     def from_wav(cls, path) -> "ChannelSet":
-        return cls(*load_wav_channels(path))
+        """The file's channels; a file that cannot form a channel set, one
+        with a single channel say, raises FormatError naming the path."""
+        channels, rate = load_wav_channels(path)
+        try:
+            return cls(channels, rate)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
     @property
     def n_channels(self) -> int:
@@ -159,7 +165,7 @@ def channel_similarity(channel_set: ChannelSet,
 
 
 def detect_injection(channel_set: ChannelSet, threshold: float = DEFAULT_THRESHOLD,
-                     energy_floor: float | None = None,
+                     energy_floor: float = DEFAULT_ENERGY_FLOOR,
                      frame: int = DEFAULT_FRAME) -> Verdict:
     """Flag channels that carry energy but match no other channel.
 
@@ -171,10 +177,7 @@ def detect_injection(channel_set: ChannelSet, threshold: float = DEFAULT_THRESHO
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if energy_floor is None:
-        energy_floor = default_energy_floor()
-    else:
-        _check_nonnegative("energy_floor", energy_floor)
+    _check_nonnegative("energy_floor", energy_floor)
     scores = channel_similarity(channel_set, frame)
     n_ch = channel_set.n_channels
     # one channel at a time: no temporary the size of the recording

@@ -52,9 +52,6 @@ class ProfileNotFoundError(PhotonInjectError, LookupError):
         super().__init__(f"unknown {kind} {name!r}{hint}")
 
 
-DeviceNotFoundError = ProfileNotFoundError
-
-
 # chained comparisons with inf: NaN fails every one of them
 def _check_positive(name: str, value) -> None:
     if not 0 < value < math.inf:

@@ -117,12 +117,6 @@ def _raw_probability(min_power_mw: float, received_mw: float,
     return e / (1.0 + e)
 
 
-def _received_at(scenario: AttackScenario, distance_m: float,
-                 emitted_mw: float) -> float:
-    path = scenario.path.focused_at(distance_m)
-    return optics.received_power(path, scenario.aperture, distance_m, emitted_mw)
-
-
 def calibrate_edge(observations, scenario_template: AttackScenario,
                    lo: float = 0.01, hi: float = 10.0) -> RecognitionEdge:
     """Fit the edge width to (distance_m, success_rate) observations.
@@ -144,7 +138,9 @@ def calibrate_edge(observations, scenario_template: AttackScenario,
     op = diode_mod.optimize_operating_point(scenario_template.diode,
                                             scenario_template.budget_mw)
     emitted = diode_mod.average_power(scenario_template.diode, op)
-    received = [_received_at(scenario_template, d, emitted) for d, _ in obs]
+    received = [optics.received_power(scenario_template.path.focused_at(d),
+                                      scenario_template.aperture, d, emitted)
+                for d, _ in obs]
     min_power = scenario_template.device.min_power_mw
 
     def sse(width: float) -> float:
@@ -175,14 +171,13 @@ def calibrate_edge(observations, scenario_template: AttackScenario,
     return RecognitionEdge(width)
 
 
-def simulate_attack(scenario: AttackScenario, trials: int,
-                    edge: RecognitionEdge = DEFAULT_EDGE) -> AttackReport:
+def simulate_attack(scenario: AttackScenario, trials: int) -> AttackReport:
     """Simulate `trials` independent injection attempts.
 
     Computes the budget-optimal operating point, pushes the average power
     through the link at the scenario distance and evaluates the success
-    probability. Devices with speaker authentication refuse everything
-    unless the wake word matched. Outcome k is `u_k < p` for the k-th
+    probability at DEFAULT_EDGE. Devices with speaker authentication
+    refuse everything unless the wake word matched. Outcome k is `u_k < p` for the k-th
     uniform u_k of `numpy.random.default_rng(scenario.rng_seed)`. When p
     is exactly 0 or 1 no uniform can change an outcome, so none is drawn
     and numpy is not imported; only 0 < p < 1 draws the trials.
@@ -203,7 +198,7 @@ def simulate_attack(scenario: AttackScenario, trials: int,
         notes.append("device verifies the speaker's wake word and no matching "
                      "wake-word recording is available; forcing p = 0")
     else:
-        p = success_probability(scenario.device, received, edge)
+        p = success_probability(scenario.device, received)
     if p == 0.0 or p == 1.0:
         # Generator.random() lies in [0, 1): every draw fails `< 0.0` and
         # passes `< 1.0`, so the outcomes are known without drawing

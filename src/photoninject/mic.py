@@ -35,11 +35,6 @@ from .errors import (_check_integer, _check_nonnegative, _check_positive,
                      _check_sample_rate, _check_samples)
 from .signals import AudioSignal, _smooth_fft_len
 
-# ambient office noise floor: 0.005 of full scale is -46 dBFS, mirroring
-# a ~46 dB(A) room against a 0 dBFS full-scale signal
-DEFAULT_NOISE_RMS = 0.005
-DEFAULT_RESPONSIVITY = 4.0
-DEFAULT_SATURATION_MW = 0.1
 # bandpass_fft convolves at a 5-smooth length when n has a prime factor
 # above this. Timed against the direct route at such lengths, the
 # convolution took about 0.8 of its time (0.7-1.1); with the largest
@@ -68,10 +63,6 @@ class MicProfile:
                              f"got {self.band_high_hz}")
         _check_positive("saturation_mw", self.saturation_mw)
         _check_nonnegative("noise_rms", self.noise_rms)
-
-
-MEMS_DEFAULT = MicProfile("mems-default", DEFAULT_RESPONSIVITY, 20.0, 20000.0,
-                          DEFAULT_SATURATION_MW, DEFAULT_NOISE_RMS)
 
 
 def _has_prime_factor_above(n: int, bound: int) -> bool:

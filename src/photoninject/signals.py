@@ -45,10 +45,6 @@ class AudioSignal:
     def peak(self) -> float:
         return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
 
-    def is_normalized(self) -> bool:
-        """True when max |sample| <= 1.0."""
-        return self.peak <= 1.0
-
 
 def _smooth_fft_len(n: int) -> int:
     """Smallest 2*3*5-smooth length >= n (at least 1): a fast FFT size."""

@@ -42,7 +42,7 @@ def _iter_chunks(blob: bytes):
                 f"(declared {size} bytes, {len(payload)} present)")
         yield cid, payload
         pos += 8 + size + (size & 1)  # chunks are word-aligned
-    if pos != len(blob) and pos + 8 > len(blob) and pos < len(blob):
+    if pos < len(blob):
         raise FormatError("chunk header: truncated")
 
 
@@ -74,6 +74,8 @@ def _parse(blob: bytes):
         raise FormatError(f"fmt chunk: {bits}-bit samples unsupported, need 16")
     if n_channels < 1:
         raise FormatError("fmt chunk: zero channels")
+    if sample_rate == 0:
+        raise FormatError("fmt chunk: sample rate 0 Hz, need a positive rate")
     if block_align != 2 * n_channels:
         raise FormatError(
             f"fmt chunk: block align {block_align} != 2 * {n_channels} channels")

@@ -5,6 +5,7 @@ Each test prints a single `[ACCEPTANCE] n. <name>: PASS|FAIL` line
 """
 
 import csv
+import dataclasses
 import functools
 import io
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_command, thd_ratio
-from photoninject import cli, defense, mic, optics, signals
+from photoninject import cli, defense, optics, signals
 from photoninject.authsim import LockPolicy, enumerate_pins, expected_time
 from photoninject.devices import load_devices, lookup_device
 from photoninject.diode import (DiodeProfile, OperatingPoint, average_power,
@@ -20,10 +21,10 @@ from photoninject.diode import (DiodeProfile, OperatingPoint, average_power,
                                 optimize_operating_point)
 from photoninject.injection import (AttackScenario, calibrate_edge,
                                     simulate_attack, success_probability)
-from photoninject.mic import MicProfile, transduce
+from photoninject.mic import transduce
 from photoninject.optics import (Aperture, OpticalPath, capture_fraction,
                                  max_range, spot_diameter)
-from photoninject.profiles import get_diode
+from photoninject.profiles import get_diode, get_mic
 from photoninject.signals import generate_chirp, generate_tone
 
 
@@ -158,8 +159,7 @@ def _through_chain(audio, budget_mw=0.08, distance_m=0.3, seed=0):
     light = emitted_light(blue, modulate(blue, op, audio))
     path = OpticalPath.ideal(distance_m)
     at_port = optics.attenuate(light, path, Aperture(0.001), distance_m)
-    silent = MicProfile("noise-off", mic.DEFAULT_RESPONSIVITY, 20.0, 20000.0,
-                        mic.DEFAULT_SATURATION_MW, 0.0)
+    silent = dataclasses.replace(get_mic("mems-default"), noise_rms=0.0)
     return transduce(silent, at_port, rng_seed=seed)
 
 
@@ -244,7 +244,7 @@ def test_criterion_8_overlap_oracle():
 def test_criterion_9_defense():
     sr = 48000
     n = sr // 2
-    noise_rms = mic.DEFAULT_NOISE_RMS
+    noise_rms = get_mic("mems-default").noise_rms
 
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -287,8 +287,9 @@ def test_criterion_10_determinism():
 
     from photoninject.diode import LightWaveform
     light = LightWaveform(5.0 + 0.05 * a.samples[:24000] + 0.05, 48000)
-    x = transduce(mic.MEMS_DEFAULT, light, rng_seed=99)
-    y = transduce(mic.MEMS_DEFAULT, light, rng_seed=99)
+    mems = get_mic("mems-default")
+    x = transduce(mems, light, rng_seed=99)
+    y = transduce(mems, light, rng_seed=99)
     assert np.array_equal(x.samples, y.samples)
 
     home = lookup_device("Google Home Mini")

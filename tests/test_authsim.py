@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from photoninject.authsim import (DELAY_AFTER, MAX_ATTEMPTS, BruteForceResult,
                                   LockPolicy, candidate_order, enumerate_pins,
-                                  expected_time, summary_row)
+                                  expected_time)
 
 
 def reference_enumerate_pins(policy, digits, per_attempt_s, secret,
@@ -106,10 +106,14 @@ class TestEnumerate:
             with pytest.raises(ValueError, match="digits"):
                 enumerate_pins(LockPolicy.unlimited(), 4, 13.0, secret)
 
-    def test_digits_outside_policy_range(self):
-        with pytest.raises(ValueError, match="range"):
-            enumerate_pins(LockPolicy.unlimited(pin_length_range=(4, 4)),
-                           2, 13.0, "00")
+    def test_digits_outside_one_to_six(self):
+        for digits in (0, 7):
+            message = rf"^digits must be in \[1, 6\], got {digits}$"
+            with pytest.raises(ValueError, match=message):
+                enumerate_pins(LockPolicy.unlimited(), digits, 13.0,
+                               "0" * digits)
+            with pytest.raises(ValueError, match=message):
+                expected_time(LockPolicy.max_attempts(3), digits)
 
     def test_per_attempt_positive(self):
         with pytest.raises(ValueError, match="per_attempt"):
@@ -229,8 +233,6 @@ class TestPolicy:
             LockPolicy("sometimes")
         with pytest.raises(ValueError):
             LockPolicy.max_attempts(0)
-        with pytest.raises(ValueError):
-            LockPolicy.unlimited(pin_length_range=(0, 4))
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="delay_s must be >= 0 and "
                                                  "finite"):
@@ -254,20 +256,7 @@ class TestPolicy:
                            match="digits must be an integer, got 4.0"):
             enumerate_pins(LockPolicy.unlimited(), 4.0, 13.0, "1234")
 
-    @pytest.mark.parametrize("bounds, message", [
-        ((1.5, 6), "lower bound must be an integer, got 1.5"),
-        ((1, 6.0), "upper bound must be an integer, got 6.0"),
-    ])
-    def test_fractional_pin_length_bound_rejected(self, bounds, message):
-        with pytest.raises(ValueError, match=message):
-            LockPolicy.unlimited(pin_length_range=bounds)
-
     def test_describe(self):
         assert LockPolicy.unlimited().describe() == "unlimited"
         assert LockPolicy.max_attempts(3).describe() == "max_attempts(3)"
         assert LockPolicy.delay_after(3, 60).describe() == "delay_after(3,60s)"
-
-    def test_summary_row(self):
-        row = summary_row(LockPolicy.unlimited(), 4, 13.0)
-        assert row[0] == "unlimited"
-        assert row[3] == 130000.0

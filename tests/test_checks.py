@@ -19,9 +19,10 @@ from photoninject import (authsim, defense, devices, diode, injection, mic,
                           optics, signals, wavio)
 from photoninject.errors import (_check_integer, _check_nonnegative,
                                  _check_positive)
-from photoninject.profiles import get_diode
+from photoninject.profiles import get_diode, get_mic
 
 BLUE = get_diode("blue-450")
+MEMS = get_mic("mems-default")
 HOME = devices.lookup_device("Google Home")
 PATH = optics.OpticalPath.default(10.0)
 PORT = optics.Aperture(0.001)
@@ -124,7 +125,7 @@ NONNEGATIVE = [
     ("MicProfile", "noise_rms",
      lambda v: mic.MicProfile(**{**MIC_FIELDS, "noise_rms": v}), -0.005),
     ("output_vpp", "ipp_effective_mw",
-     lambda v: mic.output_vpp(mic.MEMS_DEFAULT, v), -1.0),
+     lambda v: mic.output_vpp(MEMS, v), -1.0),
     ("success_probability", "received_mw",
      lambda v: injection.success_probability(HOME, v), -1.0),
     ("LockPolicy", "delay_s",
@@ -137,7 +138,7 @@ INTEGER = [
     ("DeviceProfile", "port_count",
      lambda v: devices.DeviceProfile(**{**DEVICE_FIELDS, "port_count": v}), 0),
     ("transduce", "seed",
-     lambda v: mic.transduce(mic.MEMS_DEFAULT, LIGHT, rng_seed=v), -1),
+     lambda v: mic.transduce(MEMS, LIGHT, rng_seed=v), -1),
     ("AttackScenario", "seed",
      lambda v: injection.AttackScenario(**{**SCENARIO_FIELDS,
                                            "rng_seed": v}), -1),
@@ -160,10 +161,6 @@ INTEGER = [
      lambda v: defense.channel_similarity(CHANNELS, v), 255),
     ("detect_injection", "frame",
      lambda v: defense.detect_injection(CHANNELS, frame=v), 128),
-    ("LockPolicy", "pin_length_range lower bound",
-     lambda v: authsim.LockPolicy.unlimited(pin_length_range=(v, 6)), 0),
-    ("LockPolicy", "pin_length_range upper bound",
-     lambda v: authsim.LockPolicy.unlimited(pin_length_range=(4, v)), 3),
 ]
 
 # checks that relate two fields or test a bounded interval
@@ -178,6 +175,11 @@ RELATION = [
     ("calibrate_edge", "success_rate",
      lambda v: injection.calibrate_edge([(20.0, 0.975), (25.0, v)],
                                         EDGE_TEMPLATE), 1.5),
+    ("expected_time", "digits",
+     lambda v: authsim.expected_time(authsim.LockPolicy.unlimited(), v), 7),
+    ("enumerate_pins", "digits",
+     lambda v: authsim.enumerate_pins(authsim.LockPolicy.unlimited(), v, 13.0,
+                                      "1234"), 7),
 ]
 
 TABLES = (POSITIVE, NONNEGATIVE, INTEGER, RELATION)
@@ -210,8 +212,7 @@ def test_every_entry_point_accepts_its_good_values():
             "ipp_effective_mw": 0.0, "received_mw": 0.0, "delay_s": 0.0,
             "energy_floor": 0.0, "port_count": 1, "seed": 0, "trials": 1,
             "k": 1, "max_lag": 0, "frame": 256, "band_low_hz": 20.0,
-            "pin_length_range lower bound": 1,
-            "pin_length_range upper bound": 6, "max_current_ma": 300.0,
+            "digits": 4, "max_current_ma": 300.0,
             "band_high_hz": 20000.0, "incidence_angle_deg": 0.0,
             "success_rate": 0.675}
     for table in TABLES:

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import synth_command
 from photoninject import defense, wavio
-from photoninject.defense import (ChannelSet, channel_similarity,
-                                  default_energy_floor, detect_injection)
+from photoninject.defense import (DEFAULT_ENERGY_FLOOR, ChannelSet,
+                                  channel_similarity, detect_injection)
 from photoninject.signals import AudioSignal, generate_tone
 
 SR = 48000
@@ -212,8 +212,15 @@ class TestDetectInjection:
         assert detect_injection(cs, frame=np.int64(1024)).status == defense.CLEAN
 
     def test_energy_floor_default(self):
-        assert default_energy_floor(0.005) == pytest.approx(
-            0.005 ** 2 * 10 ** 0.6)
+        # 6 dB above an ambient 0.005 rms, bit for bit
+        assert DEFAULT_ENERGY_FLOOR == 0.005 ** 2 * 10 ** 0.6
+        cs = ChannelSet(noise_set(np.random.default_rng(21)), SR)
+        default = detect_injection(cs)
+        given = detect_injection(cs, energy_floor=DEFAULT_ENERGY_FLOOR)
+        assert (default.status, default.implicated, default.notes) == \
+            (given.status, given.implicated, given.notes)
+        assert np.array_equal(default.scores, given.scores)
+        assert np.array_equal(default.energies, given.energies)
 
     def test_csv_rows(self):
         rng = np.random.default_rng(18)

@@ -126,9 +126,13 @@ class TestModulate:
             modulate(blue, OperatingPoint(290.0, 50.0), tone)
 
     def test_unnormalized_audio_rejected(self, blue):
-        audio = AudioSignal(np.array([0.0, 1.5]), 48000)
-        with pytest.raises(ValueError, match="normalized"):
-            modulate(blue, OperatingPoint(26.2, 7.0), audio)
+        # a peak within 1e-12 of full scale is float rounding, not overdrive
+        op = OperatingPoint(26.2, 7.0)
+        modulate(blue, op, AudioSignal(np.array([0.0, 1.0 + 1e-13]), 48000))
+        for peak in (1.0 + 1e-11, 1.5):
+            audio = AudioSignal(np.array([0.0, peak]), 48000)
+            with pytest.raises(ValueError, match="normalized"):
+                modulate(blue, op, audio)
 
     def test_output_bounded_by_swing(self, blue):
         rng = np.random.default_rng(3)

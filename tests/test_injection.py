@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from photoninject import injection, optics
 from photoninject.devices import load_devices, lookup_device
-from photoninject.errors import (DeviceNotFoundError, FitError, FormatError,
-                                 ProfileNotFoundError)
+from photoninject.errors import FitError, FormatError, ProfileNotFoundError
 from photoninject.injection import (DEFAULT_EDGE, AttackScenario,
                                     RecognitionEdge, build_scenario,
                                     calibrate_edge,
@@ -85,7 +84,7 @@ class TestDeviceDataset:
         assert lookup_device("ECHO SPOT").min_power_mw == 29
 
     def test_lookup_unknown_suggests(self):
-        with pytest.raises(DeviceNotFoundError) as err:
+        with pytest.raises(ProfileNotFoundError) as err:
             lookup_device("Galaxy Note")
         assert err.value.suggestions
 

@@ -291,9 +291,6 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             MicProfile("x", 0.0, 20.0, 20000.0, 0.1, 0.0)
 
-    def test_csv_default_matches_code_default(self):
-        assert profiles.get_mic("mems-default") == mic.MEMS_DEFAULT
-
 
 class TestRoundTrip:
     def test_tone_through_full_chain(self, blue):
@@ -302,7 +299,7 @@ class TestRoundTrip:
         light = emitted_light(blue, modulate(blue, op, tone))
         path = optics.OpticalPath.ideal(0.3)
         at_port = optics.attenuate(light, path, optics.Aperture(0.001), 0.3)
-        out = transduce(mic.MEMS_DEFAULT, at_port, rng_seed=0)
+        out = transduce(profiles.get_mic("mems-default"), at_port, rng_seed=0)
         # noise-free variant for the distortion measurement
         quiet_mems = MicProfile("q", 4.0, 20.0, 20000.0, 0.1, 0.0)
         out = transduce(quiet_mems, at_port, rng_seed=0)
@@ -317,7 +314,7 @@ class TestRoundTrip:
         light = emitted_light(blue, modulate(blue, op, sweep))
         path = optics.OpticalPath.ideal(0.3)
         at_port = optics.attenuate(light, path, optics.Aperture(0.001), 0.3)
-        out = transduce(mic.MEMS_DEFAULT, at_port, rng_seed=7)
+        out = transduce(profiles.get_mic("mems-default"), at_port, rng_seed=7)
         spec = signals.spectrogram(out, 2048, 512)
         slope, _, r2 = signals.ridge_line_fit(spec)
         assert r2 >= 0.99

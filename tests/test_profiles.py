@@ -28,9 +28,11 @@ class TestShippedProfiles:
         assert profiles.get_diode("BLUE-450").name == "blue-450"
 
     def test_unknown_diode(self):
-        with pytest.raises(ProfileNotFoundError,
+        # a LookupError, as a dict's KeyError is
+        with pytest.raises(LookupError,
                            match="^unknown diode 'green-520'") as err:
             profiles.get_diode("green-520")
+        assert type(err.value) is ProfileNotFoundError
         assert err.value.kind == "diode"
 
     def test_unknown_mic(self):
@@ -68,13 +70,6 @@ def test_lookup_ignores_case_and_blanks_and_nothing_else(kind, data, before,
         lookup(other)
     assert (err.value.kind, err.value.name) == (kind, other)
     assert str(err.value).startswith(f"unknown {kind} {other!r}")
-
-
-def test_device_not_found_error_is_the_shared_class():
-    from photoninject.errors import DeviceNotFoundError
-
-    assert DeviceNotFoundError is ProfileNotFoundError
-    assert issubclass(ProfileNotFoundError, LookupError)
 
 
 class TestProfileDirOverride:

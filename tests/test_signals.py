@@ -40,10 +40,6 @@ class TestAudioSignal:
         with pytest.raises(ValueError):
             sig.samples[0] = 1.0
 
-    def test_normalized_flag(self):
-        assert AudioSignal(np.array([0.5, -1.0]), 48000).is_normalized()
-        assert not AudioSignal(np.array([1.5]), 48000).is_normalized()
-
 
 class TestTone:
     def test_length_and_first_sample(self):

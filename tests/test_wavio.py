@@ -232,6 +232,29 @@ class TestFormatRejection:
         with pytest.raises(FormatError, match="data chunk"):
             wavio.load_wav(path)
 
+    @pytest.mark.parametrize("load", [wavio.load_wav, wavio.load_wav_channels])
+    def test_zero_sample_rate(self, tmp_path, load):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(_wav_bytes(sample_rate=0))
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == (
+            f"{path}: fmt chunk: sample rate 0 Hz, need a positive rate")
+
+    @pytest.mark.parametrize("tail", [b"\x00", b"LIST", b"LIST\x00\x00\x00"])
+    def test_partial_chunk_header(self, tmp_path, tail):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(_wav_bytes() + tail)
+        with pytest.raises(FormatError) as err:
+            wavio.load_wav(path)
+        assert str(err.value) == f"{path}: chunk header: truncated"
+
+    def test_missing_pad_byte_after_the_last_chunk(self, tmp_path):
+        # an odd-sized last chunk may end the file without its pad byte
+        path = tmp_path / "odd.wav"
+        path.write_bytes(_wav_bytes() + b"LIST" + struct.pack("<I", 3) + b"abc")
+        assert wavio.load_wav(path).samples.tolist() == [0.0]
+
     def test_too_many_channels_for_mono_loader(self, tmp_path):
         path = tmp_path / "m.wav"
         wavio.save_wav_channels(np.zeros((4, 10)) + 0.1, 48000, path)
