@@ -30,7 +30,8 @@ class LockPolicy:
 
     def __post_init__(self):
         if self.kind not in (UNLIMITED, MAX_ATTEMPTS, DELAY_AFTER):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+            raise ValueError(f"kind must be {UNLIMITED!r}, {MAX_ATTEMPTS!r} "
+                             f"or {DELAY_AFTER!r}, got {self.kind!r}")
         _check_integer("attempt_limit", self.attempt_limit)
         if self.kind in (MAX_ATTEMPTS, DELAY_AFTER) and self.attempt_limit < 1:
             raise ValueError(
@@ -95,7 +96,8 @@ def candidate_order(digits: int, order: str = "ascending",
             raise ValueError("order 'seeded_shuffle' needs a seed")
         _check_integer("seed", seed, minimum=0)
         return np.random.default_rng(seed).permutation(n)
-    raise ValueError(f"unknown order {order!r}")
+    raise ValueError(f"order must be 'ascending' or 'seeded_shuffle', "
+                     f"got {order!r}")
 
 
 def enumerate_pins(policy: LockPolicy, digits: int, per_attempt_s: float,

@@ -62,15 +62,16 @@ class ChannelSet:
     @classmethod
     def from_signals(cls, signals: list[AudioSignal]) -> "ChannelSet":
         if len(signals) < 2:
-            raise ValueError("need at least 2 channels")
-        rate = signals[0].sample_rate
-        length = len(signals[0])
-        for s in signals[1:]:
-            if s.sample_rate != rate:
-                raise ValueError("channels must share one sample rate")
-            if len(s) != length:
-                raise ValueError("channels must have equal length")
-        return cls(np.stack([s.samples for s in signals]), rate)
+            raise ValueError(f"signals must hold at least 2 channels, "
+                             f"got {len(signals)}")
+        rates = [s.sample_rate for s in signals]
+        if len(set(rates)) > 1:
+            raise ValueError(f"signals must share one sample rate, "
+                             f"got {rates}")
+        lengths = [len(s) for s in signals]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"signals must have equal lengths, got {lengths}")
+        return cls(np.stack([s.samples for s in signals]), rates[0])
 
     @classmethod
     def from_wav(cls, path) -> "ChannelSet":

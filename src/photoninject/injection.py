@@ -24,6 +24,7 @@ from .diode import DiodeProfile, OperatingPoint
 from .errors import (FitError, FormatError, ProfileNotFoundError,
                      _check_integer, _check_nonnegative, _check_positive)
 from .optics import Aperture, OpticalPath
+from .profiles import _parse_value, _read_utf8, get_diode
 
 P_CLAMP_LOW = 0.01
 P_CLAMP_HIGH = 0.99
@@ -149,20 +150,7 @@ def calibrate_edge(observations, scenario_template: AttackScenario,
             total += (_raw_probability(min_power, r, width) - rate) ** 2
         return total
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = sse(x1), sse(x2)
-    while b - a > 1e-9:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = sse(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = sse(x2)
+    a, b = optics._golden_min(sse, lo, hi)
     width = (a + b) / 2
     # a (b) stays at lo (hi) only when the search never left that end
     for name, end, kept in (("lo", lo, a), ("hi", hi, b)):
@@ -234,17 +222,21 @@ def consecutive_success_criterion(outcomes, k: int) -> bool:
 
 # --- scenario files ---------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "device.name", "diode.name", "budget_mw", "distance_m", "command_text",
-    "wake_word_matched", "trials", "seed",
-    "path.lens_diameter_m", "path.focus_distance_m", "path.wavelength_nm",
-    "path.pointing_jitter_m", "path.window_transmission",
-    "path.mesh_transmission", "path.incidence_angle_deg",
-    "aperture.port_diameter_m", "aperture.offset_m",
+# scenario-file key -> the kind its text is parsed as, in the order that
+# build_scenario reaches the keys
+_SCENARIO_KINDS = {
+    "device.name": str, "diode.name": str, "command_text": str,
+    "distance_m": float, "seed": int, "trials": int, "wake_word_matched": bool,
+    "path.lens_diameter_m": float, "path.focus_distance_m": float,
+    "path.wavelength_nm": float, "path.pointing_jitter_m": float,
+    "path.window_transmission": float, "path.mesh_transmission": float,
+    "path.incidence_angle_deg": float,
+    "aperture.port_diameter_m": float, "aperture.offset_m": float,
+    "budget_mw": float,
 }
 
 # constructor field -> scenario key
-_FIELD_KEYS = {key.rpartition(".")[2]: key for key in _SCENARIO_KEYS
+_FIELD_KEYS = {key.rpartition(".")[2]: key for key in _SCENARIO_KINDS
                if not key.endswith(".name")}
 
 
@@ -254,18 +246,16 @@ def read_scenario_file(path) -> tuple[dict[str, str], dict[str, int]]:
     A key given twice keeps its last value and line.
     """
     source = str(path)
-    with open(path) as fh:
-        text = fh.read()
     values, lines = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise FormatError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SCENARIO_KEYS:
+        if key not in _SCENARIO_KINDS:
             raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
         lines[key] = lineno
@@ -281,28 +271,22 @@ def load_scenario(path) -> tuple[AttackScenario, int]:
 def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
     """(scenario, trials) from a mapping of scenario-file keys to values.
 
-    A value is either text, which is parsed, or already typed (a float,
-    an int, a bool), which is used as is. Keys left unset take their
-    defaults after every value is in, so the derived ones follow what was
-    set: the focus follows `distance_m` unless `path.focus_distance_m` is
-    set, the wavelength follows the diode unless `path.wavelength_nm` is,
-    and the port diameter follows the device unless
-    `aperture.port_diameter_m` is.
+    A value is either text, which is parsed as `_SCENARIO_KINDS` says, or
+    already typed (a float, an int, a bool), which is used as is. Keys left
+    unset take their defaults after every value is in, so the derived ones
+    follow what was set: the focus follows `distance_m` unless
+    `path.focus_distance_m` is set, the wavelength follows the diode unless
+    `path.wavelength_nm` is, and the port diameter follows the device
+    unless `aperture.port_diameter_m` is.
 
     `source` names the file the values were read from, or is None when
     there is none. A bad value at a key that `lines` places in that file
     raises FormatError naming `source:line`; a bad value at any other key
-    raises ValueError. A device or diode name that is not in its table
-    raises ProfileNotFoundError, or FormatError naming `source:line` when
-    the file holds the name.
+    raises ValueError, as does a key that is not a scenario-file key. A
+    device or diode name that is not in its table raises
+    ProfileNotFoundError, or FormatError naming `source:line` when the
+    file holds the name.
     """
-    from . import profiles as profile_store
-
-    def error(key, message):
-        if key in lines:
-            return FormatError(f"{source}:{lines[key]}: {message}")
-        return ValueError(message)
-
     for required in ("device.name", "budget_mw", "distance_m"):
         if required not in values:
             message = f"missing required key {required!r}"
@@ -310,31 +294,42 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
                 raise ValueError(message)
             raise FormatError(f"{source}: {message}")
 
-    def get(key: str, default=None, kind=float):
-        value = values.get(key, default)
-        if not isinstance(value, str):  # typed, a flag's value or a default
-            return value
-        try:
-            return profile_store._parse_value(value, kind, key)
-        except ValueError as exc:
-            raise error(key, str(exc)) from None
-
     try:
         device = lookup_device(values["device.name"])
-        diode = profile_store.get_diode(values.get("diode.name", "blue-450"))
+        diode = get_diode(values.get("diode.name", "blue-450"))
     except ProfileNotFoundError as exc:
         key = exc.kind + ".name"
         if key not in lines:
             raise
-        raise error(key, str(exc)) from None
-    distance = get("distance_m")
-    seed = get("seed", 0, int)
-    trials = get("trials", 10, int)
-    wake = get("wake_word_matched", False, bool)
+        raise _scenario_error(source, lines, key, str(exc)) from None
+
+    # one pass parses the keys given; a text that does not parse is
+    # reported where the checks reach its key, so the first error is the
+    # one that parsing each value on first use would raise
+    typed, unparsed = {}, {}
+    for key, value in values.items():
+        kind = _SCENARIO_KINDS.get(key)
+        if kind is None:
+            raise ValueError(f"unknown key {key!r}")
+        if kind is str or not isinstance(value, str):
+            typed[key] = value
+        else:
+            try:
+                typed[key] = _parse_value(value, kind, key)
+            except ValueError as exc:
+                unparsed[key] = str(exc)
+
+    get = typed.get
+    if unparsed:
+        _raise_unparsed(unparsed, "wake_word_matched", source, lines)
+    distance = typed["distance_m"]
+    trials = get("trials", 10)
     try:
         _check_integer("trials", trials, minimum=1)
         # checked before the focus follows it
         _check_positive("distance_m", distance)
+        if unparsed:
+            _raise_unparsed(unparsed, "path.incidence_angle_deg", source, lines)
         path = OpticalPath(
             lens_diameter_m=get("path.lens_diameter_m",
                                 optics.DEFAULT_LENS_DIAMETER_M),
@@ -346,24 +341,47 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
                                   optics.DEFAULT_MESH_TRANSMISSION),
             incidence_angle_deg=get("path.incidence_angle_deg", 0.0),
         )
+        if unparsed:
+            _raise_unparsed(unparsed, "aperture.offset_m", source, lines)
         aperture = Aperture(
             port_diameter_m=get("aperture.port_diameter_m",
                                 device.port_diameter_m),
             offset_m=get("aperture.offset_m", 0.0),
         )
+        if unparsed:
+            _raise_unparsed(unparsed, "budget_mw", source, lines)
         scenario = AttackScenario(
             device=device,
             diode=diode,
             path=path,
             aperture=aperture,
-            budget_mw=get("budget_mw"),
+            budget_mw=typed["budget_mw"],
             distance_m=distance,
-            command_text=values.get("command_text", ""),
-            wake_word_matched=wake,
-            rng_seed=seed,
+            command_text=get("command_text", ""),
+            wake_word_matched=get("wake_word_matched", False),
+            rng_seed=get("seed", 0),
         )
     except ValueError as exc:
         # the constructors' messages start with the field they reject
-        raise error(_FIELD_KEYS.get(str(exc).partition(" ")[0]),
-                    str(exc)) from None
+        raise _scenario_error(source, lines,
+                              _FIELD_KEYS.get(str(exc).partition(" ")[0]),
+                              str(exc)) from None
     return scenario, trials
+
+
+def _scenario_error(source, lines, key, message):
+    """FormatError at `source:line` when `lines` places `key` in the file,
+    else ValueError."""
+    if key in lines:
+        return FormatError(f"{source}:{lines[key]}: {message}")
+    return ValueError(message)
+
+
+def _raise_unparsed(unparsed, last, source, lines):
+    """Raise the error of the first key up to `last`, in `_SCENARIO_KINDS`
+    order, whose text did not parse."""
+    for key in _SCENARIO_KINDS:
+        if key in unparsed:
+            raise _scenario_error(source, lines, key, unparsed[key])
+        if key == last:
+            return

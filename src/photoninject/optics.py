@@ -155,7 +155,10 @@ def max_range(path: OpticalPath, aperture: Aperture, emitted_avg_mw: float,
 
     Bisection on [0.01 m, 10 km] to 0.01 m resolution. Returns 0 when the
     requirement already fails at 0.01 m and the 10 km cap when it still
-    holds there (unbounded at model scale).
+    holds there (unbounded at model scale). An offset port can miss the
+    small spot near the lens yet catch the wider spot further out, so when
+    it fails at 0.01 m the bisection starts from the distance of peak
+    received power instead, and 0 means it fails there too.
     """
     _check_positive("emitted_avg_mw", emitted_avg_mw)
     _check_positive("required_mw", required_mw)
@@ -165,11 +168,17 @@ def max_range(path: OpticalPath, aperture: Aperture, emitted_avg_mw: float,
     def feasible(d: float) -> bool:
         return _received(path, aperture, d, d, emitted_avg_mw) >= required_mw
 
-    if not feasible(RANGE_FLOOR_M):
-        return 0.0
+    lo = RANGE_FLOOR_M
+    if not feasible(lo):
+        if aperture.offset_m == 0:
+            return 0.0
+        lo = _peak_distance(
+            lambda d: _received(path, aperture, d, d, emitted_avg_mw))
+        if not feasible(lo):
+            return 0.0
     if feasible(MAX_RANGE_CAP_M):
         return MAX_RANGE_CAP_M
-    lo, hi = RANGE_FLOOR_M, MAX_RANGE_CAP_M
+    hi = MAX_RANGE_CAP_M
     while hi - lo > RANGE_RESOLUTION_M:
         mid = (lo + hi) / 2
         if feasible(mid):
@@ -177,6 +186,46 @@ def max_range(path: OpticalPath, aperture: Aperture, emitted_avg_mw: float,
         else:
             hi = mid
     return lo
+
+
+# points of the log-spaced grid on [RANGE_FLOOR_M, MAX_RANGE_CAP_M] that
+# brackets the peak of received power
+_PEAK_GRID_POINTS = 256
+
+
+def _peak_distance(power) -> float:
+    """The distance in [RANGE_FLOOR_M, MAX_RANGE_CAP_M] where `power`, a
+    function that rises to one peak and then falls, is largest: the best
+    grid point, refined by golden-section search between its neighbours."""
+    ratio = MAX_RANGE_CAP_M / RANGE_FLOOR_M
+    last = _PEAK_GRID_POINTS - 1
+    grid = [RANGE_FLOOR_M * ratio ** (i / last) for i in range(last)]
+    grid.append(MAX_RANGE_CAP_M)
+    best = max(range(len(grid)), key=lambda i: power(grid[i]))
+    a, b = _golden_min(lambda d: -power(d), grid[max(best - 1, 0)],
+                       grid[min(best + 1, last)])
+    # the grid point stands if rounding left the search below it
+    return max(grid[best], (a + b) / 2, key=power)
+
+
+def _golden_min(f, a: float, b: float) -> tuple[float, float]:
+    """The bracket, narrowed to 1e-9, that golden-section search on [a, b]
+    leaves around the minimum of `f`. On a tie it keeps the lower part, so
+    a flat `f` collapses onto `a`."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > 1e-9:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return a, b
 
 
 def attenuate(light, path: OpticalPath, aperture: Aperture, distance_m: float):

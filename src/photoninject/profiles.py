@@ -14,7 +14,8 @@ copying it; the `load_*` functions hand out copies of the frozen
 profiles. `_parse_value` parses table columns and scenario-file values
 alike. The profile classes are imported by the table that builds them,
 so listing devices loads neither the diode model nor the microphone's
-waveform code (and numpy).
+waveform code (and numpy). `_read_utf8` is the package's one way to read a
+text file, profile tables and scenario files alike.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ PROFILE_DIR_ENV = "PHOTONINJECT_PROFILE_DIR"
 # (with pathlib and zipfile) would dominate a cold start
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
+# bytes asked of each read of a text file; a scenario file or profile
+# table takes one read and the empty read that ends it
+_READ_BYTES = 1 << 16
+
 # file name -> (text read, or None for the packaged file; built table)
 _cache: dict[str, tuple[str | None, dict]] = {}
 
@@ -44,8 +49,38 @@ def _read_text(filename: str) -> str:
                               f"({PROFILE_DIR_ENV} is set to {override!r})")
     else:
         path = os.path.join(_DATA_DIR, filename)
-    with open(path) as fh:
-        return fh.read()
+    return _read_utf8(path)
+
+
+def _read_utf8(path) -> str:
+    """The whole file as text: its bytes read unbuffered to the end, then
+    decoded strictly as UTF-8. Bytes that are not UTF-8 raise FormatError
+    naming the path and the line, counted as `str.splitlines` counts them.
+
+    The descriptor is read directly: the file object that open() builds,
+    with its extra fstat and lseek calls, about doubles the time to read
+    a small file once other work has evicted it from the caches."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, _READ_BYTES)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, _READ_BYTES))
+    except OSError as exc:
+        # os.read does not name the file, as open() does (a directory, say)
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; the bad one is on the line
+        # that a character in its place would end up on
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise FormatError(f"{path}:{line}: not UTF-8 text, byte "
+                          f"0x{data[exc.start]:02x} at offset {exc.start}: "
+                          f"{exc.reason}") from None
 
 
 def _parse_rows(text: str, filename: str) -> list[tuple[int, dict]]:

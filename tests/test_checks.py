@@ -197,6 +197,33 @@ def test_bad_argument_is_named_with_its_value(call, name, value):
         call(value)
 
 
+def tone(n, rate=16000):
+    return signals.AudioSignal(np.zeros(n), rate)
+
+
+# a count, a list or a choice that is not one of its names: the message
+# starts with the argument and ends with what it got
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: defense.ChannelSet.from_signals([tone(64)]),
+                 "signals must hold at least 2 channels, got 1", id="count"),
+    pytest.param(lambda: defense.ChannelSet.from_signals(
+        [tone(64), tone(64, 8000)]),
+        "signals must share one sample rate, got [16000, 8000]", id="rates"),
+    pytest.param(lambda: defense.ChannelSet.from_signals(
+        [tone(64), tone(64), tone(32)]),
+        "signals must have equal lengths, got [64, 64, 32]", id="lengths"),
+    pytest.param(lambda: authsim.LockPolicy("sometimes"),
+                 "kind must be 'unlimited', 'max_attempts' or 'delay_after', "
+                 "got 'sometimes'", id="policy-kind"),
+    pytest.param(lambda: authsim.candidate_order(2, "random"),
+                 "order must be 'ascending' or 'seeded_shuffle', got 'random'",
+                 id="order"),
+])
+def test_bad_choice_or_list_is_named_with_its_value(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_every_entry_point_accepts_its_good_values():
     # each call in the tables succeeds once its argument is in domain, so
     # the argument under test is the only one each failure can be about

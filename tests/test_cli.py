@@ -242,6 +242,11 @@ class TestSimulate:
         code, _, err = run(["simulate", "--scenario", "/nonexistent/s.txt"], capsys)
         assert code == 3
 
+    def test_directory_exits_3_naming_it(self, tmp_path, capsys):
+        code, out, err = run(["simulate", "--scenario", str(tmp_path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
     def test_bad_scenario_key_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("device.name = Google Home\nbudget_mw = 5\n"
@@ -261,6 +266,36 @@ class TestSimulate:
         assert out == ""
         # the appended line is the file's sixth
         assert err.startswith(f"error: {scenario_file}:6: ")
+
+
+class TestNotUtf8:
+    """A scenario file or profile table holding a byte that is not UTF-8
+    exits 3 naming the file's path and the line."""
+
+    def test_scenario_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        data = (b"device.name = Google Home\nbudget_mw = 5\ndistance_m = 10\n"
+                b"command_text = \xff\n")
+        path.write_bytes(data)
+        for command in ("plan", "simulate"):
+            code, out, err = run([command, "--scenario", str(path)], capsys)
+            assert (code, out) == (3, "")
+            assert err == (f"error: {path}:4: not UTF-8 text, byte 0xff at "
+                           f"offset {data.index(0xff)}: invalid start byte\n")
+
+    def test_profile_table_exits_3(self, tmp_path, monkeypatch, capsys):
+        data = (b"name,backend,category,requires_auth,min_power_mw,"
+                b"port_diameter_m,port_count,wake_word\r\n"
+                b"Lab Speaker,Alexa,speaker,no,0.5,0.001,2,alexa\r\n"
+                b"Caf\xe9 Speaker,Alexa,speaker,no,0.5,0.001,2,alexa\r\n")
+        path = tmp_path / "devices.csv"
+        path.write_bytes(data)
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        code, out, err = run(["profiles"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {path}:3: not UTF-8 text, byte 0xe9 at "
+                       f"offset {data.index(0xe9)}: invalid continuation "
+                       f"byte\n")
 
 
 class TestProfileColumns:

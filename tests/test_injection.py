@@ -483,7 +483,7 @@ seed = 7
         path.write_text(block)
         scenario, trials = load_scenario(path)
         assert set(injection.read_scenario_file(path)[0]) == \
-            injection._SCENARIO_KEYS
+            set(injection._SCENARIO_KINDS)
         assert (scenario.device.name, trials) == ("Google Home", 10)
 
     def test_bad_line(self, tmp_path):

@@ -299,10 +299,15 @@ class TestRoundTrip:
         light = emitted_light(blue, modulate(blue, op, tone))
         path = optics.OpticalPath.ideal(0.3)
         at_port = optics.attenuate(light, path, optics.Aperture(0.001), 0.3)
-        out = transduce(profiles.get_mic("mems-default"), at_port, rng_seed=0)
+        mems = profiles.get_mic("mems-default")
+        noisy = transduce(mems, at_port, rng_seed=0)
         # noise-free variant for the distortion measurement
         quiet_mems = MicProfile("q", 4.0, 20.0, 20000.0, 0.1, 0.0)
         out = transduce(quiet_mems, at_port, rng_seed=0)
+        # the noisy profile adds the seeded noise and nothing else
+        noise = np.random.default_rng(0).normal(0.0, mems.noise_rms, len(out))
+        np.testing.assert_allclose(noisy.samples - out.samples, noise,
+                                   rtol=0, atol=1e-15)
         spec = np.abs(np.fft.rfft(out.samples))
         bin_hz = 48000 / len(out)
         assert abs(np.argmax(spec) * bin_hz - 1000) <= bin_hz

@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -193,12 +194,14 @@ class TestParsedTableMemo:
         profiles.get_diode("blue-450")
         devices.lookup_device("Google Home")
         opened = []
+        os_open = os.open
 
         def spy(file, *args, **kwargs):
             opened.append(str(file))
-            return open(file, *args, **kwargs)
+            return os_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(profiles, "open", spy, raising=False)
+        # every text file is read through os.open (profiles._read_utf8)
+        monkeypatch.setattr(os, "open", spy)
         assert profiles.get_diode("blue-450").wavelength_nm == 450.0
         assert devices.lookup_device("Google Home").name == "Google Home"
         assert opened == []
