@@ -93,7 +93,8 @@ def candidate_order(digits: int, order: str = "ascending",
         return np.arange(n)
     if order == "seeded_shuffle":
         if seed is None:
-            raise ValueError("order 'seeded_shuffle' needs a seed")
+            raise ValueError(f"seed must be given for order {order!r}, "
+                             f"got {seed}")
         _check_integer("seed", seed, minimum=0)
         return np.random.default_rng(seed).permutation(n)
     raise ValueError(f"order must be 'ascending' or 'seeded_shuffle', "

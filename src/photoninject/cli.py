@@ -117,7 +117,8 @@ def cmd_modulate(args) -> int:
         raise ValueError(f"--sidecar applies only to a .wav --out, "
                          f"got --out {out!r}")
     audio = wavio.load_wav(args.infile)
-    diode_profile = profile_store.get_diode(args.diode)
+    diode_profile = profile_store.get_diode(
+        getattr(args, "diode", profile_store.DEFAULT_DIODE))
     op = diode.optimize_operating_point(diode_profile, args.budget_mw)
     drive = diode.modulate(diode_profile, op, audio)
     if out.endswith(".wav"):
@@ -146,16 +147,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_range(args) -> int:
-    from . import devices, diode, optics
-    from . import profiles as profile_store
+    from . import diode, injection, optics
 
-    device = devices.lookup_device(args.device)
-    diode_profile = profile_store.get_diode(args.diode)
-    op = diode.optimize_operating_point(diode_profile, args.budget_mw)
-    emitted = diode.average_power(diode_profile, op)
-    path = optics.OpticalPath.default(1.0, diode_profile.wavelength_nm)
-    aperture = optics.Aperture(device.port_diameter_m)
-    reach = optics.max_range(path, aperture, emitted, device.min_power_mw)
+    # max_range refocuses at every distance it probes, so the 1 m focus
+    # the scenario is built with does not matter
+    values = {"device.name": args.device, "budget_mw": args.budget_mw,
+              "distance_m": 1.0}
+    if "diode" in args:
+        values["diode.name"] = args.diode
+    scenario, _ = injection.build_scenario(values, None, {})
+    device = scenario.device
+    op = diode.optimize_operating_point(scenario.diode, args.budget_mw)
+    emitted = diode.average_power(scenario.diode, op)
+    reach = optics.max_range(scenario.path, scenario.aperture, emitted,
+                             device.min_power_mw)
     rows = [("device", device.name),
             ("budget_mw", f"{args.budget_mw:g}"),
             ("emitted_mw", f"{emitted:.9g}"),
@@ -202,8 +207,10 @@ def cmd_bruteforce(args) -> int:
     # walked before anything is printed, so a bad secret or seed prints nothing
     result = None
     if args.secret is not None:
+        # an --order left out keeps the library's default
+        order = {"order": args.order} if "order" in args else {}
         result = authsim.enumerate_pins(policy, args.digits, per_attempt_s,
-                                        args.secret, args.order, args.seed)
+                                        args.secret, seed=args.seed, **order)
         if args.format == "csv":
             header += ["attempts", "elapsed_s", "outcome"]
             row += (result.attempts_made, result.elapsed_s, result.outcome)
@@ -243,7 +250,8 @@ def cmd_chirp_test(args) -> int:
     # looked up before numpy is loaded, so that an unknown diode exits at
     # once; an unknown microphone does not, as MicProfile's module
     # imports numpy
-    diode_profile = profile_store.get_diode(args.diode)
+    diode_profile = profile_store.get_diode(
+        getattr(args, "diode", profile_store.DEFAULT_DIODE))
     mic_profile = profile_store.get_mic(args.mic)
 
     from . import diode, mic, optics, signals
@@ -257,10 +265,12 @@ def cmd_chirp_test(args) -> int:
                                     diode_profile.wavelength_nm)
     aperture = optics.Aperture(0.001)
     at_port = optics.attenuate(light, path, aperture, args.distance_m)
-    heard = mic.transduce(mic_profile, at_port, rng_seed=args.seed)
+    seed = {"rng_seed": args.seed} if "seed" in args else {}
+    heard = mic.transduce(mic_profile, at_port, **seed)
     spec = signals.spectrogram(heard, frame_length=2048, hop=512)
-    spec.to_csv(args.out)
+    # fitted first, so that a spectrogram with no line to fit writes nothing
     slope, intercept, r2 = signals.ridge_line_fit(spec)
+    spec.to_csv(args.out)
     expected = (args.f_end - args.f_start) / args.duration
     print(f"wrote {args.out}")
     print(f"ridge slope: {slope:.1f} Hz/s (expected {expected:.1f}), "
@@ -294,7 +304,7 @@ def _add_modulate(sub) -> None:
     p = sub.add_parser("modulate", help="turn a WAV command into a drive waveform")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget-mw", type=float, required=True)
-    p.add_argument("--diode", default="blue-450")
+    p.add_argument("--diode", default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output .csv or .wav path")
     p.add_argument("--sidecar", help="sidecar CSV path for .wav output")
     p.set_defaults(func=cmd_modulate)
@@ -313,7 +323,7 @@ def _add_range(sub) -> None:
     p = sub.add_parser("range", help="maximum feasible attack distance")
     p.add_argument("--device", required=True)
     p.add_argument("--budget-mw", type=float, required=True)
-    p.add_argument("--diode", default="blue-450")
+    p.add_argument("--diode", default=argparse.SUPPRESS)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_range)
 
@@ -326,7 +336,7 @@ def _add_bruteforce(sub) -> None:
     p.add_argument("--per-attempt-s", type=float, default=argparse.SUPPRESS)
     p.add_argument("--secret")
     p.add_argument("--order", choices=["ascending", "seeded_shuffle"],
-                   default="ascending")
+                   default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_bruteforce)
@@ -353,9 +363,9 @@ def _add_chirp_test(sub) -> None:
     p.add_argument("--sample-rate", type=int, default=48000)
     p.add_argument("--budget-mw", type=float, default=0.08)
     p.add_argument("--distance-m", type=float, default=0.3)
-    p.add_argument("--diode", default="blue-450")
+    p.add_argument("--diode", default=argparse.SUPPRESS)
     p.add_argument("--mic", default="mems-default")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_chirp_test)
 
 

@@ -52,9 +52,9 @@ class ChannelSet:
 
     def __post_init__(self):
         arr = _check_samples("channels", self.channels, ndim=2, copy=False)
-        if arr.shape[0] < 2 or arr.shape[1] < 1:
-            raise ValueError(f"channels must hold at least 2 channels and 1 "
-                             f"sample, got shape {arr.shape}")
+        if arr.shape[0] < 2:
+            raise ValueError(f"channels must hold at least 2 channels, "
+                             f"got shape {arr.shape}")
         object.__setattr__(self, "sample_rate",
                            _check_sample_rate(self.sample_rate))
         object.__setattr__(self, "channels", arr)

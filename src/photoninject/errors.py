@@ -10,8 +10,9 @@ shape: the argument's name first and, for a scalar, its value last.
   `minimum` when one is given
 - `_check_sample_rate(rate)`: a positive integral rate, returned as int
 - `_check_samples(name, values, ndim=1, nonnegative=False, copy=True)`:
-  a finite float64 array of rank `ndim`, all >= 0 if `nonnegative`, as a
-  read-only copy, or without `copy` as the input itself if it is float64
+  a finite, non-empty float64 array of rank `ndim`, all >= 0 if
+  `nonnegative`, as a read-only copy, or without `copy` as the input
+  itself if it is float64
 
 Only `_check_samples` imports numpy, when called, so that the planners
 can use the others without loading numpy. Checks that relate two values,
@@ -95,6 +96,9 @@ def _check_samples(name: str, values, ndim: int = 1, nonnegative: bool = False,
     arr = (np.array if copy else np.asarray)(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must hold at least one sample, "
+                         f"got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must all be finite")
     if nonnegative and (arr < 0).any():

@@ -24,7 +24,7 @@ from .diode import DiodeProfile, OperatingPoint
 from .errors import (FitError, FormatError, ProfileNotFoundError,
                      _check_integer, _check_nonnegative, _check_positive)
 from .optics import Aperture, OpticalPath
-from .profiles import _parse_value, _read_utf8, get_diode
+from .profiles import DEFAULT_DIODE, _parse_value, _read_utf8, get_diode
 
 P_CLAMP_LOW = 0.01
 P_CLAMP_HIGH = 0.99
@@ -296,7 +296,7 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
 
     try:
         device = lookup_device(values["device.name"])
-        diode = get_diode(values.get("diode.name", "blue-450"))
+        diode = get_diode(values.get("diode.name", DEFAULT_DIODE))
     except ProfileNotFoundError as exc:
         key = exc.kind + ".name"
         if key not in lines:

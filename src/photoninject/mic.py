@@ -81,7 +81,7 @@ def bandpass_fft(samples: np.ndarray, sample_rate: int, low_hz: float,
 
     Unity gain on [low_hz, high_hz]; the response falls to exactly zero at
     low_hz/2 and at min(2*high_hz, Nyquist). DC is always removed. The
-    samples must be a finite 1-D array-like.
+    samples must be a finite, non-empty 1-D array-like.
     """
     samples = _check_samples("samples", samples, copy=False)
     _check_sample_rate(sample_rate)
@@ -91,8 +91,6 @@ def bandpass_fft(samples: np.ndarray, sample_rate: int, low_hz: float,
         raise ValueError(f"high_hz must be finite and above low_hz "
                          f"({low_hz}), got {high_hz}")
     n = samples.size
-    if n == 0:
-        return samples.copy()
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
     mask = np.ones_like(freqs)
 

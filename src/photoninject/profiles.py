@@ -28,6 +28,9 @@ from .errors import FormatError, ProfileNotFoundError
 
 PROFILE_DIR_ENV = "PHOTONINJECT_PROFILE_DIR"
 
+# the diode a scenario or command uses when none is named
+DEFAULT_DIODE = "blue-450"
+
 # next to this file rather than through importlib.resources, whose import
 # (with pathlib and zipfile) would dominate a cold start
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")

@@ -43,7 +43,7 @@ class AudioSignal:
 
     @property
     def peak(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
+        return float(np.max(np.abs(self.samples)))
 
 
 def _smooth_fft_len(n: int) -> int:
@@ -189,9 +189,11 @@ def ridge_line_fit(spec: Spectrogram) -> tuple[float, float, float]:
     """Least-squares line through the spectral ridge.
 
     Returns (slope Hz/s, intercept Hz, R^2). Used to verify linear sweeps
-    recovered from microphone output.
+    recovered from microphone output. A line needs at least 2 time bins.
     """
     t = spec.times_s
+    if t.size < 2:
+        raise ValueError(f"spec must hold at least 2 time bins, got {t.size}")
     f = spec.ridge_hz()
     slope, intercept = np.polyfit(t, f, 1)
     pred = slope * t + intercept

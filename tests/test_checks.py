@@ -3,9 +3,9 @@
 A NaN, an infinity or an out-of-domain scalar raises ValueError whose
 message starts with the argument's name and ends with the value it
 rejected; `build_scenario` maps a constructor's error to its scenario key
-by that first word. A sample array of the wrong rank, with a non-finite
-value or, for a current, power or magnitude, a negative one raises
-ValueError whose message starts with the argument's name.
+by that first word. A sample array of the wrong rank, with no samples,
+with a non-finite value or, for a current, power or magnitude, a negative
+one raises ValueError whose message starts with the argument's name.
 """
 
 import math
@@ -218,6 +218,9 @@ def tone(n, rate=16000):
     pytest.param(lambda: authsim.candidate_order(2, "random"),
                  "order must be 'ascending' or 'seeded_shuffle', got 'random'",
                  id="order"),
+    pytest.param(lambda: authsim.candidate_order(3, "seeded_shuffle"),
+                 "seed must be given for order 'seeded_shuffle', got None",
+                 id="shuffle-seed"),
 ])
 def test_bad_choice_or_list_is_named_with_its_value(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -276,6 +279,9 @@ def bad_arrays(shape, nonnegative):
     for wrong in dict.fromkeys([(), shape[:-1], shape + (1,)]):
         yield (f"shape{wrong}", np.ones(wrong),
                rf"must be {ndim}-D, got shape {re.escape(str(wrong))}")
+    empty = shape[:-1] + (0,)
+    yield ("empty", np.ones(empty),
+           rf"must hold at least one sample, got shape {re.escape(str(empty))}")
     refused = [math.nan, math.inf, -math.inf] + [-1.0] * nonnegative
     for value in refused:
         arr = np.ones(shape)

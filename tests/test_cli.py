@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import synth_command
-from photoninject import authsim, cli, defense, devices, profiles, wavio
+from photoninject import (authsim, cli, defense, devices, injection, optics,
+                          profiles, wavio)
 from photoninject.signals import generate_tone
 
 SR = 48000
@@ -457,6 +458,17 @@ class TestRange:
         fields = dict(csv_rows(out)[1:])
         assert float(fields["max_range_m"]) <= 10.0
 
+    @pytest.mark.parametrize("diode", DIODES)
+    def test_builder_gives_the_hand_built_link(self, diode):
+        # range's link as it was built by hand before build_scenario built it
+        wavelength = profiles.get_diode(diode).wavelength_nm
+        for device in devices.load_devices():
+            scenario, _ = injection.build_scenario(
+                {"device.name": device.name, "budget_mw": 5.0,
+                 "distance_m": 1.0, "diode.name": diode}, None, {})
+            assert scenario.path == optics.OpticalPath.default(1.0, wavelength)
+            assert scenario.aperture == optics.Aperture(device.port_diameter_m)
+
 
 class TestBruteforce:
     def test_summary_table(self, capsys):
@@ -624,7 +636,7 @@ class TestDetect:
 
 
 @pytest.mark.parametrize("command, channels, rate, message", [
-    ("detect", 1, SR, "channels must hold at least 2 channels and 1 sample, "
+    ("detect", 1, SR, "channels must hold at least 2 channels, "
                       "got shape (1, 1000)"),
     ("detect", 2, 0, "fmt chunk: sample rate 0 Hz, need a positive rate"),
     ("modulate", 1, 0, "fmt chunk: sample rate 0 Hz, need a positive rate"),
@@ -724,6 +736,17 @@ class TestChirpTest:
         assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration", ["0.042667", "0.0533"])
+    def test_one_time_bin_exits_2(self, tmp_path, capsys, duration):
+        # 2048 and 2558 samples: one 2048-sample frame, no line to fit
+        out = tmp_path / "sg.csv"
+        code, text, err = run(["chirp-test", "--duration", duration,
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert text == ""
+        assert err == "error: spec must hold at least 2 time bins, got 1\n"
+        assert not out.exists()
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -766,6 +789,58 @@ PARSER_OUTPUT_SHA256 = {
     "chirp-test --help":
         "e0b4d2b303b90af14a29b06cc6eac8faea26e6caeb02337750a78018425e56fe",
 }
+
+
+class TestLibraryDefaults:
+    """A flag whose default is a library default is absent from args when
+    left out, so the library holds the one copy of that default."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["modulate", "--in", "a.wav", "--budget-mw", "5", "--out", "d.csv"],
+         {"diode": "red-638"}),
+        (["range", "--device", "Google Home", "--budget-mw", "5"],
+         {"diode": "red-638"}),
+        (["bruteforce", "--digits", "4", "--policy", "unlimited"],
+         {"order": "seeded_shuffle"}),
+        (["chirp-test"], {"diode": "red-638", "seed": "3"}),
+    ], ids=["modulate", "range", "bruteforce", "chirp-test"])
+    def test_left_out_flags_are_absent_from_args(self, argv, flags):
+        parse = cli.build_parser().parse_args
+        args = parse(argv)
+        assert not [name for name in flags if name in args]
+        given = [f"--{name.replace('_', '-')}={value}"
+                 for name, value in flags.items()]
+        assert all(name in parse(argv + given) for name in flags)
+
+    def test_left_out_flags_print_what_the_defaults_print(self, tmp_path,
+                                                          capsys):
+        wav = tmp_path / "in.wav"
+        wavio.save_wav(generate_tone(440.0, 0.05, 8000, 0.5), wav)
+        out = tmp_path / "out.csv"
+        secret = ["bruteforce", "--digits", "3", "--policy", "unlimited",
+                  "--secret", "123"]
+
+        def outputs(argv):
+            got = [run(argv, capsys)]
+            if out.exists():
+                got.append(out.read_bytes())
+                out.unlink()
+            return got
+
+        for argv, flag in [
+            (["range", "--device", "Google Home", "--budget-mw", "5"],
+             ["--diode", "blue-450"]),
+            (["modulate", "--in", str(wav), "--budget-mw", "5",
+              "--out", str(out)], ["--diode", "blue-450"]),
+            (["chirp-test", "--duration", "0.2", "--out", str(out)],
+             ["--diode", "blue-450"]),
+            (["chirp-test", "--duration", "0.2", "--out", str(out)],
+             ["--seed", "0"]),
+            (secret, ["--order", "ascending"]),
+        ]:
+            left_out = outputs(argv)
+            assert left_out[0][0] == 0, argv
+            assert left_out == outputs(argv + flag), argv
 
 
 class TestParserPerCommand:

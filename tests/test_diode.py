@@ -315,7 +315,7 @@ EDGE_CURRENTS = [0.0, 5e-324, 4.9999995e-7, 5e-7, 5.0000005e-7, 0.1, 26.2,
 @given(currents=st.lists(st.one_of(st.sampled_from(EDGE_CURRENTS),
                                    st.floats(0.0, 1e6, allow_nan=False,
                                              allow_infinity=False)),
-                         max_size=300),
+                         min_size=1, max_size=300),
        sample_rate=st.sampled_from([1, 7, 8000, 44100, 48000]))
 def test_drive_csv_bytes_match_csv_writer(tmp_path_factory, currents,
                                           sample_rate):
@@ -347,7 +347,7 @@ def test_drive_csv_bytes_match_csv_writer_across_blocks(tmp_path, n,
 
 @settings(deadline=None)
 @given(bias=st.floats(0.0, 1e4), swing=st.floats(0.0, 1e4),
-       n=st.integers(0, 50),
+       n=st.integers(1, 50),
        sample_rate=st.sampled_from([1, 7, 8000, 44100, 48000]))
 def test_drive_wav_sidecar_bytes_match_csv_writer(tmp_path_factory, bias,
                                                   swing, n, sample_rate):

@@ -134,6 +134,21 @@ class TestSpectrogram:
         assert r2 >= 0.99
         assert slope == pytest.approx(2000, rel=0.01)
 
+    @pytest.mark.filterwarnings("error")
+    def test_ridge_line_needs_two_time_bins(self):
+        # one frame has one ridge point, through which any line fits
+        def spec(n):
+            return spectrogram(generate_chirp(0, 10000, n / 48000, 48000),
+                               2048, 512)
+
+        for n in (2048, 2559):
+            assert spec(n).times_s.size == 1
+            with pytest.raises(ValueError, match=re.escape(
+                    "spec must hold at least 2 time bins, got 1")):
+                ridge_line_fit(spec(n))
+        assert spec(2560).times_s.size == 2
+        ridge_line_fit(spec(2560))
+
     def test_bin_count(self):
         spec = spectrogram(generate_tone(1000, 0.1, 48000), 512, 256)
         assert spec.magnitudes.shape[1] == 257
@@ -227,7 +242,7 @@ def spectrograms(draw):
     hop = draw(st.integers(1, frame_length))
     sample_rate = draw(st.one_of(st.sampled_from([7, 44100, 48000]),
                                  st.integers(1, 192000)))
-    n_time = draw(st.integers(0, 5))
+    n_time = draw(st.integers(1, 5))
     n_freq = frame_length // 2 + 1
     value = st.one_of(st.sampled_from(EDGE_MAGNITUDES),
                       st.floats(0.0, 1e12, allow_nan=False,
