@@ -78,13 +78,11 @@ def _scenario_from_args(args):
 
 
 def cmd_plan(args) -> int:
-    from . import diode, injection, optics
+    from . import injection
 
     scenario, _ = _scenario_from_args(args)
     report = injection.simulate_attack(scenario, trials=1)
     op = report.operating_point
-    emitted = diode.average_power(scenario.diode, op)
-    frac = optics.capture_fraction(report.spot_m, scenario.aperture)
     rows = [
         ("device", scenario.device.name),
         ("diode", scenario.diode.name),
@@ -93,9 +91,9 @@ def cmd_plan(args) -> int:
         ("distance_m", f"{scenario.distance_m:g}"),
         ("i_dc_ma", f"{op.bias_ma:.6f}"),
         ("i_pp_ma", f"{op.peak_to_peak_ma:.6f}"),
-        ("emitted_mw", f"{emitted:.9g}"),
+        ("emitted_mw", f"{report.emitted_mw:.9g}"),
         ("spot_m", f"{report.spot_m:.9g}"),
-        ("capture_fraction", f"{frac:.9g}"),
+        ("capture_fraction", f"{report.capture_fraction:.9g}"),
         ("received_mw", f"{report.received_mw:.9g}"),
         ("success_probability", f"{report.success_probability:.6f}"),
         ("feasible", "true" if report.feasible else "false"),

@@ -235,8 +235,8 @@ def save_drive_wav(drive: DriveWaveform, op: OperatingPoint, path,
     else:
         normalized = np.zeros_like(drive.currents_ma)
     wavio.save_wav(AudioSignal(normalized, drive.sample_rate), path)
-    with open(sidecar_path, "w", newline="") as fh:
+    with open(sidecar_path, "wb") as fh:
         fh.write(f"param,value\r\n"
                  f"i_dc_ma,{op.bias_ma:.6f}\r\n"
                  f"i_pp_ma,{op.peak_to_peak_ma:.6f}\r\n"
-                 f"sample_rate_hz,{drive.sample_rate}\r\n")
+                 f"sample_rate_hz,{drive.sample_rate}\r\n".encode("ascii"))

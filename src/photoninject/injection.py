@@ -73,6 +73,8 @@ class AttackReport:
     received_mw: float
     spot_m: float
     operating_point: OperatingPoint
+    emitted_mw: float
+    capture_fraction: float
     feasible: bool
     success_probability: float
     trial_outcomes: tuple[bool, ...]
@@ -109,9 +111,11 @@ def success_probability(device: DeviceProfile, received_mw: float,
 
 def _raw_probability(min_power_mw: float, received_mw: float,
                      width: float) -> float:
-    if received_mw == 0:
+    ratio = received_mw / min_power_mw
+    # a received power too small for the ratio to be a float is no power
+    if ratio == 0:
         return 0.0
-    z = math.log(received_mw / min_power_mw) / width
+    z = math.log(ratio) / width
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
@@ -163,7 +167,8 @@ def simulate_attack(scenario: AttackScenario, trials: int) -> AttackReport:
     """Simulate `trials` independent injection attempts.
 
     Computes the budget-optimal operating point, pushes the average power
-    through the link at the scenario distance and evaluates the success
+    through the link at the scenario distance (one spot, one capture
+    fraction, both reported with the emitted power) and evaluates the success
     probability at DEFAULT_EDGE. Devices with speaker authentication
     refuse everything unless the wake word matched. Outcome k is `u_k < p` for the k-th
     uniform u_k of `numpy.random.default_rng(scenario.rng_seed)`. When p
@@ -175,8 +180,8 @@ def simulate_attack(scenario: AttackScenario, trials: int) -> AttackReport:
     emitted = diode_mod.average_power(scenario.diode, op)
     path = scenario.path
     spot = optics.spot_diameter(path, scenario.distance_m)
-    received = optics.received_power(path, scenario.aperture,
-                                     scenario.distance_m, emitted)
+    frac = optics.capture_fraction(spot, scenario.aperture)
+    received = optics._transmit(path, frac, emitted)
     notes = []
     if emitted < scenario.budget_mw * (1 - 1e-9):
         notes.append(f"swing limited by I_max: average emitted power "
@@ -202,6 +207,8 @@ def simulate_attack(scenario: AttackScenario, trials: int) -> AttackReport:
         received_mw=received,
         spot_m=spot,
         operating_point=op,
+        emitted_mw=emitted,
+        capture_fraction=frac,
         feasible=p >= 0.5,
         success_probability=p,
         trial_outcomes=outcomes,

@@ -137,14 +137,14 @@ def received_power(path: OpticalPath, aperture: Aperture, distance_m: float,
     """Average power entering the port, mW. Never exceeds the emitted power."""
     _check_nonnegative("emitted_avg_mw", emitted_avg_mw)
     _check_positive("distance_m", distance_m)
-    return _received(path, aperture, distance_m, path.focus_distance_m,
-                     emitted_avg_mw)
+    frac = capture_fraction(_spot(path, distance_m, path.focus_distance_m),
+                            aperture)
+    return _transmit(path, frac, emitted_avg_mw)
 
 
-def _received(path: OpticalPath, aperture: Aperture, distance_m: float,
-              focus_m: float, emitted_avg_mw: float) -> float:
-    """`received_power` of `path` refocused at `focus_m`, unchecked."""
-    frac = capture_fraction(_spot(path, distance_m, focus_m), aperture)
+def _transmit(path: OpticalPath, frac: float, emitted_avg_mw: float) -> float:
+    """Power through the port, mW: the captured share `frac` of the emitted
+    power after the window, the mesh and the incidence cosine. Unchecked."""
     return (emitted_avg_mw * frac * path.window_transmission *
             path.mesh_transmission * math.cos(math.radians(path.incidence_angle_deg)))
 
@@ -164,16 +164,21 @@ def max_range(path: OpticalPath, aperture: Aperture, emitted_avg_mw: float,
     _check_positive("required_mw", required_mw)
 
     # received_power(path.focused_at(d), aperture, d, emitted), without
-    # building a path per probe
+    # building a path per probe; feasible repeats it rather than calling it,
+    # so a bisection probe costs no extra call
+    def received(d: float) -> float:
+        return _transmit(path, capture_fraction(_spot(path, d, d), aperture),
+                         emitted_avg_mw)
+
     def feasible(d: float) -> bool:
-        return _received(path, aperture, d, d, emitted_avg_mw) >= required_mw
+        return _transmit(path, capture_fraction(_spot(path, d, d), aperture),
+                         emitted_avg_mw) >= required_mw
 
     lo = RANGE_FLOOR_M
     if not feasible(lo):
         if aperture.offset_m == 0:
             return 0.0
-        lo = _peak_distance(
-            lambda d: _received(path, aperture, d, d, emitted_avg_mw))
+        lo = _peak_distance(received)
         if not feasible(lo):
             return 0.0
     if feasible(MAX_RANGE_CAP_M):

@@ -76,6 +76,7 @@ def generate_tone(frequency: float, duration: float, sample_rate: int,
 
     The frequency must sit strictly below Nyquist; amplitude in (0, 1].
     """
+    _check_sample_rate(sample_rate)
     if not 0.0 < frequency < sample_rate / 2:
         raise ValueError(
             f"frequency {frequency} Hz outside (0, Nyquist={sample_rate / 2}) Hz")
@@ -94,6 +95,7 @@ def generate_chirp(f_start: float, f_end: float, duration: float,
     the phase integrates to 2*pi*(f_start + rate*t/2)*t. A degenerate sweep
     (f_start == f_end) is bit-identical to generate_tone at that frequency.
     """
+    _check_sample_rate(sample_rate)
     for name, f in (("f_start", f_start), ("f_end", f_end)):
         if not 0.0 <= f < sample_rate / 2:
             raise ValueError(
@@ -189,11 +191,12 @@ def ridge_line_fit(spec: Spectrogram) -> tuple[float, float, float]:
     """Least-squares line through the spectral ridge.
 
     Returns (slope Hz/s, intercept Hz, R^2). Used to verify linear sweeps
-    recovered from microphone output. A line needs at least 2 time bins.
+    recovered from microphone output. It needs at least 3 time bins: a
+    line fits any two points, so R^2 over two bins is 1 by construction.
     """
     t = spec.times_s
-    if t.size < 2:
-        raise ValueError(f"spec must hold at least 2 time bins, got {t.size}")
+    if t.size < 3:
+        raise ValueError(f"spec must hold at least 3 time bins, got {t.size}")
     f = spec.ridge_hz()
     slope, intercept = np.polyfit(t, f, 1)
     pred = slope * t + intercept

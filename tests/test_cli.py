@@ -736,15 +736,27 @@ class TestChirpTest:
         assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("duration", ["0.042667", "0.0533"])
+    @pytest.mark.parametrize("duration", ["0.042667", "0.0533", "0.0534"])
     def test_one_time_bin_exits_2(self, tmp_path, capsys, duration):
-        # 2048 and 2558 samples: one 2048-sample frame, no line to fit
+        # 2048 and 2558 samples make one 2048-sample frame and 2563 make
+        # two; a line fits either exactly, so there is nothing to judge
+        bins = 2 if duration == "0.0534" else 1
         out = tmp_path / "sg.csv"
         code, text, err = run(["chirp-test", "--duration", duration,
                                "--out", str(out)], capsys)
         assert code == 2
         assert text == ""
-        assert err == "error: spec must hold at least 2 time bins, got 1\n"
+        assert err == (f"error: spec must hold at least 3 time bins, "
+                       f"got {bins}\n")
+        assert not out.exists()
+
+    def test_zero_sample_rate_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sg.csv"
+        code, text, err = run(["chirp-test", "--sample-rate", "0",
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert text == ""
+        assert err == "error: sample_rate must be a positive integer, got 0\n"
         assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photoninject import diode as diode_mod
 from photoninject import injection, optics
 from photoninject.devices import load_devices, lookup_device
 from photoninject.errors import FitError, FormatError, ProfileNotFoundError
@@ -17,7 +18,7 @@ from photoninject.injection import (DEFAULT_EDGE, AttackScenario,
                                     load_scenario, simulate_attack,
                                     success_probability)
 from photoninject.optics import Aperture, OpticalPath
-from photoninject.profiles import get_diode
+from photoninject.profiles import get_diode, load_diodes
 
 # name -> (backend, category, requires_auth, min activation power in mW)
 EXPECTED_DEVICES = {
@@ -113,6 +114,9 @@ class TestSuccessProbability:
         assert success_probability(home, 100 * home.min_power_mw) == 1.0
         assert success_probability(home, home.min_power_mw / 100) == 0.0
         assert success_probability(home, 0.0) == 0.0
+        # 5e-324 / 16 rounds to 0, whose log is undefined
+        assert success_probability(lookup_device("Google Home Mini"),
+                                   5e-324) == 0.0
 
     def test_monotone_in_received(self):
         home = lookup_device("Google Home")
@@ -347,6 +351,48 @@ def test_outcomes_match_every_trial_drawn(drawn, trials):
             "uncertain": 0.0 < p < 1.0}[kind], (kind, p)
     assert report.trial_outcomes == reference_outcomes(scenario.rng_seed,
                                                        trials, p)
+
+
+@st.composite
+def link_scenarios(draw):
+    """Any packaged device and diode, a budget the diode can emit, and a
+    drawn link: focus, jitter, losses, incidence and port offset."""
+    device = draw(st.sampled_from(load_devices()))
+    diode = draw(st.sampled_from(sorted(load_diodes().values(),
+                                        key=lambda p: p.name)))
+    ceiling = diode.slope_mw_per_ma * (diode.max_current_ma - diode.threshold_ma)
+    distance = draw(st.floats(0.05, 500.0))
+    path = OpticalPath(
+        lens_diameter_m=draw(st.floats(0.01, 0.2)),
+        focus_distance_m=distance * draw(st.floats(0.5, 2.0)),
+        wavelength_nm=diode.wavelength_nm,
+        pointing_jitter_m=draw(st.floats(0.0, 0.002)),
+        window_transmission=draw(st.floats(0.0, 1.0)),
+        mesh_transmission=draw(st.floats(0.0, 1.0)),
+        incidence_angle_deg=draw(st.floats(0.0, 89.0)),
+    )
+    aperture = Aperture(device.port_diameter_m,
+                        draw(st.floats(0.0, 2 * device.port_diameter_m)))
+    return AttackScenario(device=device, diode=diode, path=path,
+                          aperture=aperture,
+                          budget_mw=ceiling * draw(st.floats(0.001, 1.0)),
+                          distance_m=distance, wake_word_matched=True)
+
+
+@settings(deadline=None)
+@given(link_scenarios())
+def test_report_carries_the_link_budget(scenario):
+    report = simulate_attack(scenario, 1)
+    path, aperture, d = scenario.path, scenario.aperture, scenario.distance_m
+    assert report.emitted_mw == diode_mod.average_power(
+        scenario.diode, report.operating_point)
+    assert report.spot_m == optics.spot_diameter(path, d)
+    assert report.capture_fraction == optics.capture_fraction(report.spot_m,
+                                                              aperture)
+    assert report.received_mw == optics.received_power(path, aperture, d,
+                                                       report.emitted_mw)
+    assert 0.0 <= report.capture_fraction <= 1.0
+    assert report.received_mw <= report.emitted_mw
 
 
 class TestConsecutiveCriterion:

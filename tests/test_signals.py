@@ -57,6 +57,12 @@ class TestTone:
         with pytest.raises(ValueError, match="Nyquist"):
             generate_tone(24000, 1.0, 48000, 1.0)
 
+    @pytest.mark.parametrize("rate", [0, -48000, 2.5])
+    def test_bad_sample_rate_named_before_the_frequency(self, rate):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample_rate must be a positive integer, got {rate}")):
+            generate_tone(440, 1.0, rate)
+
     def test_amplitude_range(self):
         with pytest.raises(ValueError, match="amplitude"):
             generate_tone(1000, 1.0, 48000, 0.0)
@@ -112,6 +118,12 @@ class TestChirp:
         with pytest.raises(ValueError, match="Nyquist"):
             generate_chirp(0, 10000, 5.0, 8000)
 
+    @pytest.mark.parametrize("rate", [0, -48000, 2.5])
+    def test_bad_sample_rate_named_before_the_frequency(self, rate):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample_rate must be a positive integer, got {rate}")):
+            generate_chirp(0, 1000, 1.0, rate)
+
     def test_deterministic(self):
         a = generate_chirp(100, 5000, 0.3, 48000)
         b = generate_chirp(100, 5000, 0.3, 48000)
@@ -135,19 +147,20 @@ class TestSpectrogram:
         assert slope == pytest.approx(2000, rel=0.01)
 
     @pytest.mark.filterwarnings("error")
-    def test_ridge_line_needs_two_time_bins(self):
-        # one frame has one ridge point, through which any line fits
+    def test_ridge_line_needs_three_time_bins(self):
+        # a line fits any one or two ridge points exactly, so R^2 there
+        # says nothing
         def spec(n):
             return spectrogram(generate_chirp(0, 10000, n / 48000, 48000),
                                2048, 512)
 
-        for n in (2048, 2559):
-            assert spec(n).times_s.size == 1
+        for n, bins in ((2048, 1), (2559, 1), (2560, 2), (3071, 2)):
+            assert spec(n).times_s.size == bins
             with pytest.raises(ValueError, match=re.escape(
-                    "spec must hold at least 2 time bins, got 1")):
+                    f"spec must hold at least 3 time bins, got {bins}")):
                 ridge_line_fit(spec(n))
-        assert spec(2560).times_s.size == 2
-        ridge_line_fit(spec(2560))
+        assert spec(3072).times_s.size == 3
+        ridge_line_fit(spec(3072))
 
     def test_bin_count(self):
         spec = spectrogram(generate_tone(1000, 0.1, 48000), 512, 256)
