@@ -47,16 +47,21 @@ class AudioSignal:
 
 
 def _smooth_fft_len(n: int) -> int:
-    """Smallest 2*3*5-smooth length >= n (at least 1): a fast FFT size."""
+    """Smallest 2*3*5-smooth length >= n (at least 1): a fast FFT size.
+
+    For each 3^b * 5^c below the best length found so far, the least
+    power of two that lifts it to n or above completes a candidate.
+    """
     n = max(n, 1)
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _sample_count(duration: float, sample_rate: int) -> int:

@@ -22,6 +22,35 @@ def reference_spectrogram_csv(spec, path):
                                  f"{spec.magnitudes[i, j]:.9g}"])
 
 
+def stepped_smooth_fft_len(n):
+    """The least 2*3*5-smooth length >= n by stepping n upward: the
+    oracle for `_smooth_fft_len`'s direct search."""
+    n = max(n, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def test_smooth_fft_len_matches_stepping_up_to_20000():
+    # stepping up from n reaches the same length as from n - 1 unless
+    # n - 1 was smooth itself, so one walk serves every n
+    expected = stepped_smooth_fft_len(1)
+    for n in range(-2, 20001):
+        if n > expected:
+            expected = stepped_smooth_fft_len(n)
+        assert signals._smooth_fft_len(n) == expected, n
+
+
+@given(st.integers(1, 10**7))
+def test_smooth_fft_len_matches_stepping(n):
+    assert signals._smooth_fft_len(n) == stepped_smooth_fft_len(n)
+
+
 class TestAudioSignal:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):
