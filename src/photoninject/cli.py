@@ -12,7 +12,8 @@ import csv
 import functools
 import sys
 
-from .errors import BudgetError, FormatError, ProfileNotFoundError
+from .errors import (BudgetError, FormatError, ProfileNotFoundError,
+                     _check_positive)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -252,19 +253,20 @@ def cmd_chirp_test(args) -> int:
         getattr(args, "diode", profile_store.DEFAULT_DIODE))
     mic_profile = profile_store.get_mic(args.mic)
 
-    from . import diode, mic, optics, signals
+    from . import injection, optics, signals
 
     sweep = signals.generate_chirp(args.f_start, args.f_end, args.duration,
                                    args.sample_rate)
-    op = diode.optimize_operating_point(diode_profile, args.budget_mw)
-    drive = diode.modulate(diode_profile, op, sweep)
-    light = diode.emitted_light(diode_profile, drive)
+    # checked here, so that a bad distance is named as the flag sets it
+    # and not as the path's focus
+    _check_positive("distance_m", args.distance_m)
+    # a lossless path to a 1 mm port
     path = optics.OpticalPath.ideal(args.distance_m,
                                     diode_profile.wavelength_nm)
     aperture = optics.Aperture(0.001)
-    at_port = optics.attenuate(light, path, aperture, args.distance_m)
     seed = {"rng_seed": args.seed} if "seed" in args else {}
-    heard = mic.transduce(mic_profile, at_port, **seed)
+    heard = injection.inject(sweep, diode_profile, args.budget_mw, path,
+                             aperture, args.distance_m, mic_profile, **seed)
     spec = signals.spectrogram(heard, frame_length=2048, hop=512)
     # fitted first, so that a spectrogram with no line to fit writes nothing
     slope, intercept, r2 = signals.ridge_line_fit(spec)

@@ -10,6 +10,9 @@ applies to all devices; it is fitted to measured success rates versus
 distance and the fitted value ships as the default below. Authentication
 gating is hard: devices that verify the speaker only act when the wake
 word matched.
+
+`inject` runs audio through the waveform chain: drive, light, link and
+microphone.
 """
 
 from __future__ import annotations
@@ -214,6 +217,24 @@ def simulate_attack(scenario: AttackScenario, trials: int) -> AttackReport:
         trial_outcomes=outcomes,
         notes="; ".join(notes),
     )
+
+
+def inject(audio: AudioSignal, diode: DiodeProfile, budget_mw: float,
+           path: OpticalPath, aperture: Aperture, distance_m: float,
+           mic: MicProfile, rng_seed: int = 0) -> AudioSignal:
+    """What microphone `mic` hears when `audio` drives the diode at the
+    budget's operating point and its light crosses `path` to `aperture` at
+    `distance_m`: optimize_operating_point, modulate, emitted_light,
+    optics.attenuate and mic.transduce, in that order."""
+    # imported here, so that the planners, which import this module, still
+    # start without numpy
+    from . import mic as mic_mod
+
+    op = diode_mod.optimize_operating_point(diode, budget_mw)
+    drive = diode_mod.modulate(diode, op, audio)
+    light = diode_mod.emitted_light(diode, drive)
+    at_port = optics.attenuate(light, path, aperture, distance_m)
+    return mic_mod.transduce(mic, at_port, rng_seed=rng_seed)
 
 
 def consecutive_success_criterion(outcomes, k: int) -> bool:

@@ -6,9 +6,12 @@ pointing jitter:
 
     spot(d) = max(2.44 * lambda * d / D,  D * |d - f| / f) + 2 * sigma_j
 
-The fraction of emitted power entering a microphone port is the exact
-two-circle intersection area ratio, then window and mesh transmissions
-and the cosine of the incidence angle are applied multiplicatively.
+The fraction of emitted power entering a microphone port is the share of
+the spot's disk that overlaps the port's disk. The overlap is the sum of
+the two circular segments cut off by the disks' common chord, each
+written so that it keeps its digits when one disk is millions of times
+smaller than the other. Window and mesh transmissions and the cosine of
+the incidence angle are then applied multiplicatively.
 """
 
 from __future__ import annotations
@@ -99,22 +102,54 @@ def spot_diameter(path: OpticalPath, distance_m: float) -> float:
 
 
 def disk_overlap_area(r1: float, r2: float, center_distance: float) -> float:
-    """Intersection area of two disks (standard lens formula)."""
+    """Intersection area of two disks, as the sum of the two circular
+    segments that their common chord cuts off.
+
+    With R >= r the radii, d the centre distance, h the chord's half-length
+    and x a centre's signed distance to the chord (positive towards the
+    other centre), each segment is rho^2 (t - sin t) / 2 with t =
+    2 atan2(h, x). Every quantity is formed from differences that are exact
+    or sums of terms of one sign, so a spot microns wide on the rim of a
+    port millimetres wide keeps its digits.
+    """
+    big, small = max(r1, r2), min(r1, r2)
     d = center_distance
-    if d >= r1 + r2:
+    # d - big is exact for big/2 <= d <= 2 big (Sterbenz), and outside
+    # that range the answer is not close, so no rounding decides it
+    if (d - big) - small >= 0:
         return 0.0
-    # one disk inside the other, or centres so close that the 2*d*r
-    # denominators below underflow to 0: the smaller disk's area
-    if d <= abs(r1 - r2) or d * min(r1, r2) == 0:
-        r = min(r1, r2)
-        return math.pi * r * r
-    # clamp acos arguments against float dust at tangency
-    a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2 * d * r1))))
-    a2 = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2 * d * r2))))
-    k = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    # near tangency the three terms cancel, and rounding can leave the
-    # difference slightly below zero
-    return max(0.0, r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(max(k, 0.0)))
+    # gap = d + small - big and the small disk's x, each from a difference
+    # that is exact: big - d when d >= big/2, and otherwise big - small,
+    # since then small > big/2 unless the small disk lies inside the big one
+    exact_big_minus_d = d >= big / 2
+    gap = small - (big - d) if exact_big_minus_d else d - (big - small)
+    if gap <= 0:
+        return math.pi * small * small
+    if exact_big_minus_d:
+        x_small = ((d - big) * (d + big) + small * small) / (2 * d)
+    else:
+        x_small = (d * d - (big - small) * (big + small)) / (2 * d)
+    x_big = (d * d + (big - small) * (big + small)) / (2 * d)
+    # Heron's 16 * (triangle of the centres and a chord end)^2 over 16 d^2,
+    # with gap and the third factor divided by d first, which keeps a tiny
+    # d from underflowing
+    h = 0.5 * math.sqrt(((big - d) + small) * (d + big + small)
+                        * (gap / d) * ((d + (big - small)) / d))
+    return _segment(small, h, x_small) + _segment(big, h, x_big)
+
+
+def _segment(radius: float, h: float, x: float) -> float:
+    """Area cut from a disk by a chord of half-length h at signed distance
+    x from its centre."""
+    t = 2.0 * math.atan2(h, x)
+    if t < 0.1:
+        # t - sin t by its series, which does not cancel
+        t2 = t * t
+        f = t * t2 / 6.0 * (1 - t2 / 20 * (1 - t2 / 42 * (1 - t2 / 72 * (
+            1 - t2 / 110 * (1 - t2 / 156)))))
+    else:
+        f = t - math.sin(t)
+    return 0.5 * radius * radius * f
 
 
 def capture_fraction(spot_diameter_m: float, aperture: Aperture) -> float:

@@ -38,10 +38,6 @@ class AudioSignal:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    @property
     def peak(self) -> float:
         return float(np.max(np.abs(self.samples)))
 

@@ -19,7 +19,7 @@ from photoninject.devices import load_devices, lookup_device
 from photoninject.diode import (DiodeProfile, OperatingPoint, average_power,
                                 emitted_light, modulate,
                                 optimize_operating_point)
-from photoninject.injection import (AttackScenario, calibrate_edge,
+from photoninject.injection import (AttackScenario, calibrate_edge, inject,
                                     simulate_attack, success_probability)
 from photoninject.mic import transduce
 from photoninject.optics import (Aperture, OpticalPath, capture_fraction,
@@ -154,13 +154,10 @@ def test_criterion_4_reference_waveform():
 # 5 -------------------------------------------------------------------------
 
 def _through_chain(audio, budget_mw=0.08, distance_m=0.3, seed=0):
-    blue = get_diode("blue-450")
-    op = optimize_operating_point(blue, budget_mw)
-    light = emitted_light(blue, modulate(blue, op, audio))
-    path = OpticalPath.ideal(distance_m)
-    at_port = optics.attenuate(light, path, Aperture(0.001), distance_m)
     silent = dataclasses.replace(get_mic("mems-default"), noise_rms=0.0)
-    return transduce(silent, at_port, rng_seed=seed)
+    return inject(audio, get_diode("blue-450"), budget_mw,
+                  OpticalPath.ideal(distance_m), Aperture(0.001), distance_m,
+                  silent, rng_seed=seed)
 
 
 @_checked(5, "round-trip spectral fidelity")

@@ -750,6 +750,23 @@ class TestChirpTest:
                        f"got {bins}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--distance-m", "0"], ["--distance-m", "nan"], ["--distance-m", "-1"],
+        ["--distance-m", "inf"],
+        # the distance is checked before the budget's operating point
+        ["--distance-m", "0", "--budget-mw", "1000"],
+    ], ids=["0", "nan", "-1", "inf", "0 with an infeasible budget"])
+    def test_bad_distance_names_the_flag_and_exits_2(self, tmp_path, capsys,
+                                                     argv):
+        out = tmp_path / "sg.csv"
+        code, text, err = run(["chirp-test", "--duration", "0.2", *argv,
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert text == ""
+        assert err == (f"error: distance_m must be positive and finite, "
+                       f"got {float(argv[1])}\n")
+        assert not out.exists()
+
     def test_zero_sample_rate_exits_2(self, tmp_path, capsys):
         out = tmp_path / "sg.csv"
         code, text, err = run(["chirp-test", "--sample-rate", "0",

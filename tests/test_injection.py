@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photoninject import diode as diode_mod
-from photoninject import injection, optics
+from photoninject import injection, mic, optics
 from photoninject.devices import load_devices, lookup_device
 from photoninject.errors import FitError, FormatError, ProfileNotFoundError
 from photoninject.injection import (DEFAULT_EDGE, AttackScenario,
@@ -18,7 +18,8 @@ from photoninject.injection import (DEFAULT_EDGE, AttackScenario,
                                     load_scenario, simulate_attack,
                                     success_probability)
 from photoninject.optics import Aperture, OpticalPath
-from photoninject.profiles import get_diode, load_diodes
+from photoninject.profiles import get_diode, get_mic, load_diodes
+from photoninject.signals import generate_chirp
 
 # name -> (backend, category, requires_auth, min activation power in mW)
 EXPECTED_DEVICES = {
@@ -393,6 +394,34 @@ def test_report_carries_the_link_budget(scenario):
                                                        report.emitted_mw)
     assert 0.0 <= report.capture_fraction <= 1.0
     assert report.received_mw <= report.emitted_mw
+
+
+@pytest.mark.parametrize("path, aperture, distance, budget", [
+    # the chirp-test link: lossless, focused, a centred 1 mm port
+    (OpticalPath.ideal(0.3), Aperture(0.001), 0.3, 0.08),
+    # focused at 1 m, aimed at 1.01 m: a 0.86 mm spot on the rim of a
+    # 2 mm port 0.8 mm off axis; 150 mW makes the swing shrink at I_max
+    (OpticalPath.default(1.0), Aperture(0.002, 0.0008), 1.01, 150.0),
+], ids=["chirp-test link", "defocused offset port"])
+def test_inject_is_the_stage_by_stage_chain(path, aperture, distance,
+                                            budget):
+    blue, mems = get_diode("blue-450"), get_mic("mems-default")
+    audio = generate_chirp(100, 8000, 0.05, 48000)
+    op = diode_mod.optimize_operating_point(blue, budget)
+    light = diode_mod.emitted_light(blue, diode_mod.modulate(blue, op, audio))
+    at_port = optics.attenuate(light, path, aperture, distance)
+    want = mic.transduce(mems, at_port, rng_seed=5)
+    got = injection.inject(audio, blue, budget, path, aperture, distance,
+                           mems, rng_seed=5)
+    assert got.sample_rate == want.sample_rate
+    assert got.samples.tobytes() == want.samples.tobytes()
+    # the cases cover what they claim: a noisy microphone, and for the
+    # offset port a shrunk swing and a partial capture
+    assert mems.noise_rms > 0
+    if aperture.offset_m:
+        assert diode_mod.average_power(blue, op) < budget
+        assert 0 < optics.capture_fraction(
+            optics.spot_diameter(path, distance), aperture) < 1
 
 
 class TestConsecutiveCriterion:

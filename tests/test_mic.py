@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import thd_ratio
 from photoninject import mic, optics, profiles, signals
 from photoninject.diode import (LightWaveform, OperatingPoint, emitted_light,
-                                modulate, optimize_operating_point)
+                                modulate)
+from photoninject.injection import inject
 from photoninject.mic import MicProfile, bandpass_fft, output_vpp, transduce
 from photoninject.signals import generate_chirp, generate_tone
 
@@ -262,15 +263,12 @@ class TestProfileValidation:
 class TestRoundTrip:
     def test_tone_through_full_chain(self, blue):
         tone = generate_tone(1000, 0.5, 48000, 1.0)
-        op = optimize_operating_point(blue, 0.08)
-        light = emitted_light(blue, modulate(blue, op, tone))
-        path = optics.OpticalPath.ideal(0.3)
-        at_port = optics.attenuate(light, path, optics.Aperture(0.001), 0.3)
+        link = optics.OpticalPath.ideal(0.3), optics.Aperture(0.001), 0.3
         mems = profiles.get_mic("mems-default")
-        noisy = transduce(mems, at_port, rng_seed=0)
+        noisy = inject(tone, blue, 0.08, *link, mems, rng_seed=0)
         # noise-free variant for the distortion measurement
         quiet_mems = MicProfile("q", 4.0, 20.0, 20000.0, 0.1, 0.0)
-        out = transduce(quiet_mems, at_port, rng_seed=0)
+        out = inject(tone, blue, 0.08, *link, quiet_mems, rng_seed=0)
         # the noisy profile adds the seeded noise and nothing else
         noise = np.random.default_rng(0).normal(0.0, mems.noise_rms, len(out))
         np.testing.assert_allclose(noisy.samples - out.samples, noise,
@@ -282,11 +280,9 @@ class TestRoundTrip:
 
     def test_chirp_through_full_chain(self, blue):
         sweep = generate_chirp(0, 10000, 2.0, 48000)
-        op = optimize_operating_point(blue, 0.08)
-        light = emitted_light(blue, modulate(blue, op, sweep))
-        path = optics.OpticalPath.ideal(0.3)
-        at_port = optics.attenuate(light, path, optics.Aperture(0.001), 0.3)
-        out = transduce(profiles.get_mic("mems-default"), at_port, rng_seed=7)
+        out = inject(sweep, blue, 0.08, optics.OpticalPath.ideal(0.3),
+                     optics.Aperture(0.001), 0.3,
+                     profiles.get_mic("mems-default"), rng_seed=7)
         spec = signals.spectrogram(out, 2048, 512)
         slope, _, r2 = signals.ridge_line_fit(spec)
         assert r2 >= 0.99

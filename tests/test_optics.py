@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +16,42 @@ from photoninject.optics import (Aperture, OpticalPath, attenuate,
 
 def ideal(focus, **kw):
     return OpticalPath.ideal(focus, **kw)
+
+
+def decimal_atan(z):
+    """atan of a Decimal z >= 0: halved by atan z = 2 atan(z / (1 +
+    sqrt(1 + z^2))) until z < 0.01, then the alternating series."""
+    halvings = 0
+    while z >= Decimal("0.01"):
+        z = z / (1 + (1 + z * z).sqrt())
+        halvings += 1
+    total, term, k = Decimal(0), z, 0
+    tiny = Decimal(10) ** -(decimal.getcontext().prec + 5)
+    while abs(term) > tiny:
+        total += term / (2 * k + 1)
+        term *= -z * z
+        k += 1
+    return total * 2 ** halvings
+
+
+def decimal_overlap(r1, r2, d):
+    """Intersection area of two disks by the lens formula, in Decimal.
+
+    The formula is r1^2 a1 + r2^2 a2 - sqrt(f1 f2 f3 f4) / 2, with f1..f4
+    the four factors of Heron's formula and each half angle a from its
+    tangent, tan^2(a1 / 2) = f1 f3 / (f2 f4), so that no angle is taken
+    from a cosine within rounding of 1. The sum cancels terms up to
+    (R / r)^2 times the result, so at 50 digits it keeps about 36 for
+    radius ratios up to 1e7.
+    """
+    f1, f2, f3, f4 = -d + r1 + r2, d + r1 - r2, d - r1 + r2, d + r1 + r2
+    if f1 <= 0:
+        return Decimal(0)
+    if f2 <= 0 or f3 <= 0:    # one disk inside the other
+        return 4 * decimal_atan(Decimal(1)) * min(r1, r2) ** 2
+    a1 = 2 * decimal_atan((f1 * f3 / (f2 * f4)).sqrt())
+    a2 = 2 * decimal_atan((f1 * f2 / (f3 * f4)).sqrt())
+    return r1 * r1 * a1 + r2 * r2 * a2 - (f1 * f2 * f3 * f4).sqrt() / 2
 
 
 class TestSpotDiameter:
@@ -76,6 +114,28 @@ class TestOverlap:
             mc = inside.mean()
             if mc > 0.05:
                 assert frac == pytest.approx(mc, rel=0.02)
+
+    @settings(deadline=None)
+    @given(st.floats(1e-5, 1e-1), st.floats(1e-7, 1e-2))
+    def test_spot_on_the_rim_of_a_larger_port(self, r_port, ratio):
+        # a spot centred on the port's rim: half of it, less a crescent
+        # of r / (3 pi R) for the rim's curvature
+        r_spot = ratio * r_port
+        q = r_spot / r_port
+        frac = capture_fraction(2 * r_spot, Aperture(2 * r_port, r_port))
+        assert abs(frac - (0.5 - q / (3 * math.pi))) <= q * q + 1e-15
+
+    @settings(deadline=None)
+    @given(st.floats(1e-8, 1e-1), st.floats(0.0, 7.0), st.floats(0.0, 1.0))
+    def test_matches_the_lens_formula_in_decimal(self, small, log_ratio, u):
+        big = small * 10.0 ** log_ratio
+        d = (big - small) + u * 2 * small
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            want = decimal_overlap(Decimal(small), Decimal(big), Decimal(d))
+            area = Decimal(math.pi) * Decimal(min(small, big)) ** 2
+            err = abs(Decimal(disk_overlap_area(small, big, d)) - want) / area
+        assert err <= 2e-15, (small, big, d)
 
 
 class TestReceivedPower:
@@ -296,8 +356,8 @@ class TestInvariants:
 
     @settings(deadline=None)
     @given(finite(0.0, 10.0), apertures)
-    # two nearly tangent disks: the lens formula cancels to about -2e-9
-    # of the spot area
+    # two nearly tangent disks, where the lens formula cancels to about
+    # -2e-9 of the spot area
     @example(1.0000000000000003e-05, Aperture(1.0000000000000003e-05, 1e-05))
     def test_capture_fraction_in_unit_interval(self, spot, aperture):
         assert 0.0 <= capture_fraction(spot, aperture) <= 1.0
@@ -354,6 +414,10 @@ class TestInvariants:
     @example(OpticalPath.default(1.0), Aperture(0.001, 0.001), 5.0, 0.5, 1.0)
     # so far off that no spot within the cap reaches the port
     @example(OpticalPath.default(1.0), Aperture(0.001, 0.05), 5.0, 0.5, 1.0)
+    # a spot microns wide on the rim of a 1 cm port, where an overlap that
+    # cancels its terms scatters the feasible distances
+    @example(OpticalPath(0.25, 1.0, 200.0),
+             Aperture(0.009999999999999998, 0.005), 1.0, 1.0, 1.0)
     def test_offset_range_against_a_dense_scan(self, path, aperture, emitted,
                                                 distance, share):
         # a requirement met at the drawn distance (or, where nothing
