@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 
 from .errors import (BudgetError, FormatError, ProfileNotFoundError,
@@ -112,16 +113,22 @@ def cmd_modulate(args) -> int:
     out = args.out
     if not out.endswith((".csv", ".wav")):
         raise ValueError(f"--out must end in .csv or .wav, got {out!r}")
-    if args.sidecar is not None and out.endswith(".csv"):
+    sidecar = args.sidecar
+    if sidecar is not None and out.endswith(".csv"):
         raise ValueError(f"--sidecar applies only to a .wav --out, "
                          f"got --out {out!r}")
+    # the sidecar, written second, would overwrite the drive
+    if sidecar is not None and (os.path.normcase(os.path.abspath(sidecar))
+                                == os.path.normcase(os.path.abspath(out))):
+        raise ValueError(f"--sidecar must name a file other than --out, "
+                         f"got {sidecar!r}")
     audio = wavio.load_wav(args.infile)
     diode_profile = profile_store.get_diode(
         getattr(args, "diode", profile_store.DEFAULT_DIODE))
     op = diode.optimize_operating_point(diode_profile, args.budget_mw)
     drive = diode.modulate(diode_profile, op, audio)
     if out.endswith(".wav"):
-        sidecar = args.sidecar or out[:-4] + ".params.csv"
+        sidecar = sidecar or out[:-4] + ".params.csv"
         diode.save_drive_wav(drive, op, out, sidecar)
         print(f"wrote {out} and {sidecar}")
     else:

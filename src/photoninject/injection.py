@@ -18,7 +18,7 @@ microphone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import diode as diode_mod
 from . import optics
@@ -250,8 +250,7 @@ def consecutive_success_criterion(outcomes, k: int) -> bool:
 
 # --- scenario files ---------------------------------------------------------
 
-# scenario-file key -> the kind its text is parsed as, in the order that
-# build_scenario reaches the keys
+# scenario-file key -> the kind its text is parsed as
 _SCENARIO_KINDS = {
     "device.name": str, "diode.name": str, "command_text": str,
     "distance_m": float, "seed": int, "trials": int, "wake_word_matched": bool,
@@ -307,6 +306,11 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
     `path.wavelength_nm` is, and the port diameter follows the device
     unless `aperture.port_diameter_m` is.
 
+    After the required keys and the device and diode names, every value is
+    parsed before any is checked: the first text that does not parse, in
+    the order of `values` (for a file, the order it first sets its keys),
+    is raised; only when all parse is an out-of-range value reported.
+
     `source` names the file the values were read from, or is None when
     there is none. A bad value at a key that `lines` places in that file
     raises FormatError naming `source:line`; a bad value at any other key
@@ -331,10 +335,8 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
             raise
         raise _scenario_error(source, lines, key, str(exc)) from None
 
-    # one pass parses the keys given; a text that does not parse is
-    # reported where the checks reach its key, so the first error is the
-    # one that parsing each value on first use would raise
-    typed, unparsed = {}, {}
+    # every value is parsed before any is checked, in the order of `values`
+    typed = {}
     for key, value in values.items():
         kind = _SCENARIO_KINDS.get(key)
         if kind is None:
@@ -345,19 +347,15 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
             try:
                 typed[key] = _parse_value(value, kind, key)
             except ValueError as exc:
-                unparsed[key] = str(exc)
+                raise _scenario_error(source, lines, key, str(exc)) from None
 
     get = typed.get
-    if unparsed:
-        _raise_unparsed(unparsed, "wake_word_matched", source, lines)
     distance = typed["distance_m"]
     trials = get("trials", 10)
     try:
         _check_integer("trials", trials, minimum=1)
         # checked before the focus follows it
         _check_positive("distance_m", distance)
-        if unparsed:
-            _raise_unparsed(unparsed, "path.incidence_angle_deg", source, lines)
         path = OpticalPath(
             lens_diameter_m=get("path.lens_diameter_m",
                                 optics.DEFAULT_LENS_DIAMETER_M),
@@ -369,15 +367,11 @@ def build_scenario(values, source, lines) -> tuple[AttackScenario, int]:
                                   optics.DEFAULT_MESH_TRANSMISSION),
             incidence_angle_deg=get("path.incidence_angle_deg", 0.0),
         )
-        if unparsed:
-            _raise_unparsed(unparsed, "aperture.offset_m", source, lines)
         aperture = Aperture(
             port_diameter_m=get("aperture.port_diameter_m",
                                 device.port_diameter_m),
             offset_m=get("aperture.offset_m", 0.0),
         )
-        if unparsed:
-            _raise_unparsed(unparsed, "budget_mw", source, lines)
         scenario = AttackScenario(
             device=device,
             diode=diode,
@@ -403,13 +397,3 @@ def _scenario_error(source, lines, key, message):
     if key in lines:
         return FormatError(f"{source}:{lines[key]}: {message}")
     return ValueError(message)
-
-
-def _raise_unparsed(unparsed, last, source, lines):
-    """Raise the error of the first key up to `last`, in `_SCENARIO_KINDS`
-    order, whose text did not parse."""
-    for key in _SCENARIO_KINDS:
-        if key in unparsed:
-            raise _scenario_error(source, lines, key, unparsed[key])
-        if key == last:
-            return

@@ -193,9 +193,10 @@ def max_range(path: OpticalPath, aperture: Aperture, emitted_avg_mw: float,
     holds there (unbounded at model scale). An offset port can miss the
     small spot near the lens yet catch the wider spot further out, so when
     it fails at 0.01 m the bisection starts from the distance of peak
-    received power instead, and 0 means it fails there too.
+    received power instead, and 0 means it fails there too. An emitted
+    power of 0 reaches no port, so it returns 0.
     """
-    _check_positive("emitted_avg_mw", emitted_avg_mw)
+    _check_nonnegative("emitted_avg_mw", emitted_avg_mw)
     _check_positive("required_mw", required_mw)
 
     # received_power(path.focused_at(d), aperture, d, emitted), without

@@ -57,8 +57,9 @@ def _read_text(filename: str) -> str:
 
 def _read_utf8(path) -> str:
     """The whole file as text: its bytes read unbuffered to the end, then
-    decoded strictly as UTF-8. Bytes that are not UTF-8 raise FormatError
-    naming the path and the line, counted as `str.splitlines` counts them.
+    decoded strictly as UTF-8, less one leading byte-order mark. Bytes that
+    are not UTF-8 raise FormatError naming the path, the line, counted as
+    `str.splitlines` counts them, and the offset from the file's first byte.
 
     The descriptor is read directly: the file object that open() builds,
     with its extra fstat and lseek calls, about doubles the time to read
@@ -76,7 +77,7 @@ def _read_utf8(path) -> str:
         os.close(fd)
     data = b"".join(chunks)
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; the bad one is on the line
         # that a character in its place would end up on
@@ -84,6 +85,8 @@ def _read_utf8(path) -> str:
         raise FormatError(f"{path}:{line}: not UTF-8 text, byte "
                           f"0x{data[exc.start]:02x} at offset {exc.start}: "
                           f"{exc.reason}") from None
+    # a byte-order mark some editors put first is not part of the text
+    return text.removeprefix("\ufeff")
 
 
 def _parse_rows(text: str, filename: str) -> list[tuple[int, dict]]:

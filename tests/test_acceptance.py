@@ -15,7 +15,7 @@ import pytest
 from conftest import synth_command, thd_ratio
 from photoninject import cli, defense, optics, signals
 from photoninject.authsim import LockPolicy, enumerate_pins, expected_time
-from photoninject.devices import load_devices, lookup_device
+from photoninject.devices import lookup_device
 from photoninject.diode import (DiodeProfile, OperatingPoint, average_power,
                                 emitted_light, modulate,
                                 optimize_operating_point)
@@ -23,7 +23,7 @@ from photoninject.injection import (AttackScenario, calibrate_edge, inject,
                                     simulate_attack, success_probability)
 from photoninject.mic import transduce
 from photoninject.optics import (Aperture, OpticalPath, capture_fraction,
-                                 max_range, spot_diameter)
+                                 max_range)
 from photoninject.profiles import get_diode, get_mic
 from photoninject.signals import generate_chirp, generate_tone
 

@@ -63,8 +63,6 @@ POSITIVE = [
      lambda v: optics.spot_diameter(PATH, v), 0.0),
     ("received_power", "distance_m",
      lambda v: optics.received_power(PATH, PORT, v, 1.0), -2.0),
-    ("max_range", "emitted_avg_mw",
-     lambda v: optics.max_range(PATH, PORT, v, 1.0), 0.0),
     ("max_range", "required_mw",
      lambda v: optics.max_range(PATH, PORT, 1.0, v), 0.0),
     ("DeviceProfile", "min_power_mw",
@@ -118,6 +116,8 @@ NONNEGATIVE = [
      lambda v: optics.capture_fraction(v, PORT), -1.0),
     ("received_power", "emitted_avg_mw",
      lambda v: optics.received_power(PATH, PORT, 10.0, v), -1.0),
+    ("max_range", "emitted_avg_mw",
+     lambda v: optics.max_range(PATH, PORT, v, 1.0), -1.0),
     ("DiodeProfile", "threshold_ma",
      lambda v: diode.DiodeProfile("d", v, 1.0, 300.0, 450.0), -1.0),
     ("OperatingPoint", "peak_to_peak_ma",

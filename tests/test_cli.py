@@ -428,6 +428,16 @@ class TestUnknownNames:
             assert (code, out) == (3, "")
             assert err.startswith(f"error: {path}:4: {message}")
 
+    def test_bad_file_text_wins_over_a_bad_flag(self, tmp_path, capsys):
+        # every value is parsed before any is checked
+        path = tmp_path / "s.txt"
+        path.write_text("device.name = Google Home\nbudget_mw = x\n"
+                        "distance_m = 10\n")
+        code, out, err = run(["plan", "--scenario", str(path),
+                              "--distance-m", "-1"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}:2: bad number for budget_mw: 'x'")
+
     def test_unknown_flag_name_over_a_file_exits_2(self, scenario_file,
                                                    capsys):
         code, out, err = run(["plan", "--scenario", scenario_file,
@@ -450,6 +460,16 @@ class TestRange:
         assert code == 0
         fields = dict(csv_rows(out)[1:])
         assert float(fields["max_range_m"]) >= 110.0
+
+    def test_budget_too_small_to_emit_exits_1(self, capsys):
+        # the bias rounds to threshold, so nothing is emitted
+        code, out, err = run(["range", "--device", "Google Home",
+                              "--budget-mw", "1e-300", "--format", "csv"],
+                             capsys)
+        assert (code, err) == (1, "")
+        fields = dict(csv_rows(out)[1:])
+        assert float(fields["emitted_mw"]) == 0.0
+        assert fields["max_range_m"] == "0.00"
 
     def test_phone_is_contact_range_only(self, capsys):
         code, out, _ = run(["range", "--device", "Samsung Galaxy S9 (Bottom Mic)",
@@ -697,6 +717,18 @@ class TestModulate:
         assert text == ""
         assert "--sidecar" in err and "--out" in err and str(out) in err
         assert not out.exists() and not sidecar.exists()
+
+    def test_sidecar_naming_the_out_file_exits_2(self, tmp_path, capsys):
+        # checked before the input is read, so a missing input is not exit 3
+        out = tmp_path / "d.wav"
+        code, text, err = run(["modulate", "--in", str(tmp_path / "a.wav"),
+                               "--budget-mw", "5", "--out", str(out),
+                               "--sidecar", str(tmp_path / "." / "d.wav")],
+                              capsys)
+        assert (code, text) == (2, "")
+        assert err.startswith("error: --sidecar must name a file other than "
+                              f"--out, got '{tmp_path / '.' / 'd.wav'}'")
+        assert list(tmp_path.iterdir()) == []
 
     def test_excess_budget_exits_1(self, tmp_path, capsys):
         src = tmp_path / "cmd.wav"

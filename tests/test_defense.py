@@ -5,7 +5,7 @@ from conftest import synth_command
 from photoninject import defense, wavio
 from photoninject.defense import (DEFAULT_ENERGY_FLOOR, ChannelSet,
                                   channel_similarity, detect_injection)
-from photoninject.signals import AudioSignal, generate_tone
+from photoninject.signals import generate_tone
 
 SR = 48000
 N = SR // 2

@@ -207,6 +207,11 @@ class TestMaxRange:
     def test_required_above_emitted_infeasible(self):
         assert max_range(ideal(1.0), Aperture(0.001), 5.0, 6.0) == 0.0
 
+    @pytest.mark.parametrize("offset", [0.0, 0.0008])
+    def test_nothing_emitted_reaches_nowhere(self, offset):
+        path = OpticalPath.default(1.0)
+        assert max_range(path, Aperture(0.001, offset), 0.0, 0.5) == 0.0
+
     def test_reaches_the_corridor_scale(self):
         # 1 mm port, 5 mW emitted, 0.5 mW required: holds past 110 m
         r = max_range(OpticalPath.default(1.0), Aperture(0.001), 5.0, 0.5)

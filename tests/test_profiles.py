@@ -83,6 +83,14 @@ class TestProfileDirOverride:
         assert list(diodes) == ["custom-405"]
         assert profiles.get_diode("custom-405").wavelength_nm == 405.0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch):
+        packaged = devices.load_devices()
+        with open(os.path.join(profiles._DATA_DIR, "devices.csv"), "rb") as fh:
+            data = fh.read()
+        (tmp_path / "devices.csv").write_bytes(b"\xef\xbb\xbf" + data)
+        monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
+        assert devices.load_devices() == packaged
+
     def test_missing_override_file_is_a_format_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv(profiles.PROFILE_DIR_ENV, str(tmp_path))
         with pytest.raises(FormatError, match="not found"):

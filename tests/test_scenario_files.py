@@ -1,12 +1,14 @@
 """Scenario files against the reader they replaced.
 
 `reference_read_scenario_file` and `reference_build_scenario` are the
-text-mode reader and the value-by-value builder as first written. The
-property draws scenario files (any line ending, comments, blanks,
-repeated keys, any subset of the keys, at most one bad value, unknown key
-or malformed line) and flag overrides, and requires `load_scenario` and
-`build_scenario` to give a `repr`-equal result or raise the same type
-with the same message.
+text-mode reader and the value-by-value builder as first written, with one
+change to the builder: it parses every value, in the order of `values`,
+before it checks any, so that the first text that does not parse is the
+error. The property draws scenario files (any line ending, comments,
+blanks, repeated keys, any subset of the keys, up to two bad values, an
+unknown key or a malformed line) and flag overrides, and requires
+`load_scenario` and `build_scenario` to give a `repr`-equal result or
+raise the same type with the same message.
 """
 
 import re
@@ -90,6 +92,12 @@ def reference_build_scenario(values, source, lines):
         if key not in lines:
             raise
         raise error(key, str(exc)) from None
+    # the one change: the first text that does not parse is raised before
+    # any value is checked
+    kinds = {"seed": int, "trials": int, "wake_word_matched": bool}
+    for key in values:
+        if key not in ("device.name", "diode.name", "command_text"):
+            get(key, kind=kinds.get(key, float))
     distance = get("distance_m")
     seed = get("seed", 0, int)
     trials = get("trials", 10, int)
@@ -205,8 +213,9 @@ def scenario_files(draw):
     fault = draw(st.sampled_from(
         [None, None, "value", "value", "key", "line", "break"]))
     if fault == "value" and lines:
-        i = draw(st.integers(0, len(lines) - 1))
-        lines[i] = f"{entries[i][0]} = {draw(BAD)}"
+        for i in draw(st.lists(st.integers(0, len(lines) - 1), min_size=1,
+                               max_size=2, unique=True)):
+            lines[i] = f"{entries[i][0]} = {draw(BAD)}"
     elif fault == "key":
         lines.insert(draw(st.integers(0, len(lines))), "path.bogus = 3")
     elif fault == "line":
@@ -273,36 +282,57 @@ def test_load_scenario_matches_text_mode_reader(tmp_path_factory, drawn):
         outcome(lambda: reference_build_scenario(values, str(path), lines))
 
 
-@pytest.mark.parametrize("text", [
-    # two bad values: the first one the checks reach is reported
-    "device.name = Google Home\nbudget_mw = five\ndistance_m = 3\n"
-    "path.window_transmission = 2\n",
-    "device.name = Google Home\nbudget_mw = 5\ndistance_m = 3\n"
-    "aperture.offset_m = x\ntrials = 0\n",
-    "device.name = Google Home\nbudget_mw = 5\ndistance_m = -3\n"
-    "path.lens_diameter_m = x\n",
-    "device.name = Google Home\nbudget_mw = 5\ndistance_m = 3\n"
-    "path.mesh_transmission = 2\naperture.offset_m = x\n",
-    "device.name = Google Home\nbudget_mw = x\ndistance_m = 3\n"
-    "aperture.offset_m = -1\nseed = -2\n",
-    "device.name = Nosuch\nbudget_mw = x\ndistance_m = 3\n",
+@pytest.mark.parametrize("text, message", [
+    # a text that does not parse wins over a value out of its range
+    ("device.name = Google Home\nbudget_mw = five\ndistance_m = 3\n"
+     "path.window_transmission = 2\n", "2: bad number for budget_mw: 'five'"),
+    ("device.name = Google Home\nbudget_mw = 5\ndistance_m = 3\n"
+     "aperture.offset_m = x\ntrials = 0\n",
+     "4: bad number for aperture.offset_m: 'x'"),
+    ("device.name = Google Home\nbudget_mw = 5\ndistance_m = -3\n"
+     "path.lens_diameter_m = x\n",
+     "4: bad number for path.lens_diameter_m: 'x'"),
+    ("device.name = Google Home\nbudget_mw = 5\ndistance_m = 3\n"
+     "path.mesh_transmission = 2\naperture.offset_m = x\n",
+     "5: bad number for aperture.offset_m: 'x'"),
+    ("device.name = Google Home\nbudget_mw = x\ndistance_m = 3\n"
+     "aperture.offset_m = -1\nseed = -2\n", "2: bad number for budget_mw: 'x'"),
+    # the device is looked up before any value is parsed
+    ("device.name = Nosuch\nbudget_mw = x\ndistance_m = 3\n",
+     "1: unknown device 'Nosuch'; closest matches: Echo"),
+    # of two texts that do not parse, the earlier line wins
+    ("device.name = Google Home\nbudget_mw = 5\n"
+     "path.incidence_angle_deg = y\ndistance_m = 3\nseed = x\n",
+     "3: bad number for path.incidence_angle_deg: 'y'"),
 ])
-def test_first_of_two_errors_is_the_reference_one(tmp_path, text):
+def test_first_of_two_errors_is_the_reference_one(tmp_path, text, message):
     path = tmp_path / "two.txt"
     path.write_text(text)
     assert outcome(lambda: load_scenario(path)) == \
-        outcome(lambda: reference_load_scenario(path))
+        outcome(lambda: reference_load_scenario(path)) == \
+        (FormatError, f"{path}:{message}")
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = ("device.name = Google Home\r\nbudget_mw = 5\r\n"
+            "distance_m = 3\r\nseed = 4\r\n")
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert repr(load_scenario(marked)) == repr(load_scenario(plain))
 
 
 def test_non_utf8_file_names_path_and_line(tmp_path):
     path = tmp_path / "latin1.txt"
-    data = (b"device.name = Google Home\r\nbudget_mw = 5\r\n"
-            b"command_text = caf\xe9\r\ndistance_m = 3\r\n")
-    path.write_bytes(data)
-    with pytest.raises(FormatError, match=re.escape(
-            f"{path}:3: not UTF-8 text, byte 0xe9 at offset "
-            f"{data.index(0xe9)}: invalid continuation byte")):
-        load_scenario(path)
+    # the offset counts from the file's first byte, a byte-order mark too
+    for bom in (b"", b"\xef\xbb\xbf"):
+        data = (bom + b"device.name = Google Home\r\nbudget_mw = 5\r\n"
+                b"command_text = caf\xe9\r\ndistance_m = 3\r\n")
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:3: not UTF-8 text, byte 0xe9 at offset "
+                f"{data.index(0xe9)}: invalid continuation byte")):
+            load_scenario(path)
 
 
 def test_unknown_key_outside_a_file():
